@@ -584,7 +584,7 @@ def _run_cone2d(cfg, run_dir):
     slack = float(cfg.experiment_params.get("decay_slack", 0.6))
     pos_tol = float(cfg.experiment_params.get("positivity_tol", 1e-8))
     hg = _half_grid(cfg, g)
-    defects = [cone_defect(pair, r, hg, cfg.fractional) for r in radii]
+    defects = cone_defect(pair, radii, hg, cfg.fractional)
     rates = [
         math.log2(abs(d2) / abs(d1)) if d1 != 0.0 else float("nan")
         for d1, d2 in zip(defects[:-1], defects[1:])
@@ -720,9 +720,21 @@ def _jsonify(obj):
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the named pipeline; writes config echo, CSVs and summary.json."""
+    """Run the named pipeline; writes config echo, CSVs and summary.json.
+
+    ``config.threads`` caps the workers for this run only; the previous
+    cap is restored when the run ends, whether or not it raised.
+    """
+    previous = numerics.worker_cap()
     if config.threads:
         numerics.set_worker_cap(config.threads)
+    try:
+        return _run_and_record(config)
+    finally:
+        numerics.set_worker_cap(previous)
+
+
+def _run_and_record(config: ExperimentConfig) -> ExperimentReport:
     started = time.time()
     stamp = time.strftime("%Y%m%d-%H%M%S") + f"-{os.getpid()}-{started:.0f}"
     run_dir = os.path.join(config.output_dir, f"{config.experiment}-{stamp}")

@@ -4,7 +4,10 @@ A function on R^n extends to the half space z > 0 by convolution with the
 order-beta Poisson kernel z^beta / (|x|^2 + z^2)^((n+beta)/2); a phase set
 extends through its +-1 indicator. Discrete kernel rows are normalized to
 unit mass, so constants extend exactly and no dimensional constant is
-carried. On top of the extensions live the weighted Dirichlet energy over
+carried. In 2D the rows at lattice nodes are FFT convolutions (the
+midpoint kernel depends only on the index offset) and rows at off-lattice
+nodes are direct sums; both share one far-field step and are unit-mass.
+On top of the extensions live the weighted Dirichlet energy over
 half-balls, the radial monotonicity profile (Weiss-type functional), and
 the translation-defect probe for homogeneous pairs.
 """
@@ -15,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft2, next_fast_len, rfft2
 from scipy.special import betainc
 
 from .errors import (
@@ -295,24 +299,54 @@ def _poisson_region_masses(pts, z: float, set_spec, lp: float, beta: float, tol:
     return out
 
 
+def _normalized_rows(pts, z: float, num, den, pos_in, set_spec, v_plus: float,
+                     v_minus: float, lp: float, beta: float, tol: float):
+    """Add the far field to in-lattice row sums and normalize to unit mass.
+
+    num, den and pos_in are the in-lattice kernel sums against the trace,
+    against ones, and against the positive-phase indicator. The far field
+    is v_plus on the positive phase and v_minus on the rest. When the
+    total positive-phase mass is exact (halfplane/full), the far masses
+    are its complement against the in-lattice attribution and the row
+    mass is exactly one; otherwise both come from angular quadrature.
+    """
+    total_pos = _total_set_mass_2d(pts, z, set_spec, lp, beta, tol)
+    if total_pos is not None:
+        far_pos = total_pos - pos_in
+        far_neg = (1.0 - total_pos) - (den - pos_in)
+    else:
+        far_pos, far_neg = _poisson_region_masses(pts, z, set_spec, lp, beta, tol)
+    num = num + v_plus * far_pos + v_minus * far_neg
+    den = den + far_pos + far_neg
+    return num / den
+
+
+def _kernel_weights(d2, z: float, h: float, beta: float):
+    """Midpoint mass of a cell at squared horizontal distance d2, height z."""
+    c2 = beta / (2.0 * math.pi)
+    return c2 * z**beta * (d2 + z * z) ** (-0.5 * (2.0 + beta)) * h * h
+
+
+def _lattice_points(hg: HalfGrid) -> np.ndarray:
+    """Padded cell centers, one row per node in C order over (x, y)."""
+    axis = hg.padded_axis
+    xx, yy = np.meshgrid(axis, axis, indexing="ij")
+    return np.stack([xx.ravel(), yy.ravel()], axis=1)
+
+
 def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, set_spec, v_plus: float,
                  v_minus: float, beta: float, tol: float = 1e-8):
     """Evaluator: row(points, z) of the 2D extension at arbitrary points.
 
-    Midpoint in-lattice weights plus far-region masses, row-normalized.
-    The far field is v_plus on the positive phase and v_minus on the rest.
-    When the total positive-phase mass is exact (halfplane/full), the far
-    masses are its complement against the in-lattice attribution and the
-    row mass is exactly one.
+    Direct midpoint sums over the lattice plus the far field of
+    _normalized_rows. Used for off-lattice nodes; lattice nodes go
+    through the FFT convolution of _extend_2d.
     """
-    axis = hg.padded_axis
     lp = hg.padded_half_width
     h = hg.grid.h
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    src = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    src = _lattice_points(hg)
     vals_flat = trace_vals.ravel()
-    member = set_spec.membership(src).astype(float) if set_spec is not None else None
-    c2 = beta / (2.0 * math.pi)
+    pos_flat = 0.5 * (set_spec.membership(src).astype(float) + 1.0)
 
     def row(pts: np.ndarray, z: float) -> np.ndarray:
         z = float(z)
@@ -326,39 +360,49 @@ def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, set_spec, v_plus: float,
                 (pts[sl, 0, None] - src[None, :, 0]) ** 2
                 + (pts[sl, 1, None] - src[None, :, 1]) ** 2
             )
-            kern = c2 * z**beta * (d2 + z * z) ** (-0.5 * (2.0 + beta)) * h * h
+            kern = _kernel_weights(d2, z, h, beta)
             num[sl] = kern @ vals_flat
             den[sl] = kern.sum(axis=1)
-            if member is not None:
-                pos_in[sl] = kern @ (0.5 * (member + 1.0))
-        if set_spec is not None:
-            total_pos = _total_set_mass_2d(pts, z, set_spec, lp, beta, tol)
-            if total_pos is not None:
-                far_pos = total_pos - pos_in
-                far_neg = (1.0 - total_pos) - (den - pos_in)
-            else:
-                far_pos, far_neg = _poisson_region_masses(
-                    pts, z, set_spec, lp, beta, tol
-                )
-            num = num + v_plus * far_pos + v_minus * far_neg
-            den = den + far_pos + far_neg
-        return num / den
+            pos_in[sl] = kern @ pos_flat
+        return _normalized_rows(pts, z, num, den, pos_in, set_spec, v_plus,
+                                v_minus, lp, beta, tol)
 
     return row
 
 
 def _extend_2d(hg: HalfGrid, trace_vals: np.ndarray, set_spec, v_plus: float,
                v_minus: float, beta: float, tol: float = 1e-8):
-    axis = hg.padded_axis
-    nx = axis.size
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    row = _make_row_2d(hg, trace_vals, set_spec, v_plus, v_minus, beta, tol)
-    q = len(hg.levels)
-    out = np.empty((q + 1, nx, nx))
+    """All lattice rows, level by level, as FFT convolutions.
+
+    On the lattice the midpoint weight depends only on the index offset,
+    so each level's in-lattice sums are one block-Toeplitz product: the
+    kernel on the (2nx-1)^2 offset grid convolved with the trace, with
+    ones and with the positive-phase indicator. The transform size covers
+    the full linear convolution, so nothing wraps around.
+    """
+    nx = hg.padded_axis.size
+    h = hg.grid.h
+    pts = _lattice_points(hg)
+    pos = 0.5 * (set_spec.membership(pts).astype(float) + 1.0)
+    size = next_fast_len(3 * nx - 2, real=True)
+    shape = (size, size)
+    data_hat = rfft2(
+        np.stack([trace_vals, np.ones((nx, nx)), pos.reshape(nx, nx)]), s=shape
+    )
+    d = h * np.arange(1 - nx, nx)
+    d2 = d[:, None] ** 2 + d[None, :] ** 2
+    valid = slice(nx - 1, 2 * nx - 1)
+    out = np.empty((len(hg.levels) + 1, nx, nx))
     out[0] = trace_vals
     for k, z in enumerate(hg.z_array()):
-        out[k + 1] = row(pts, float(z)).reshape(nx, nx)
+        z = float(z)
+        kern_hat = rfft2(_kernel_weights(d2, z, h, beta), s=shape)
+        sums = irfft2(kern_hat * data_hat, s=shape)[:, valid, valid]
+        num, den, pos_in = (part.ravel() for part in sums)
+        out[k + 1] = _normalized_rows(
+            pts, z, num, den, pos_in, set_spec, v_plus, v_minus,
+            hg.padded_half_width, beta, tol,
+        ).reshape(nx, nx)
     return out
 
 
@@ -696,40 +740,50 @@ def _pulled_values(base: ExtendedField, evaluator, direction: float,
     return out
 
 
-def cone_defect(pair: AdmissiblePair, r_cut: float, hg: HalfGrid,
-                params: FractionalParams) -> float:
-    """Second-variation defect of the unit translation with cutoff.
+def cone_defect(pair: AdmissiblePair, radii, hg: HalfGrid,
+                params: FractionalParams) -> list:
+    """Second-variation defects of the unit translation with cutoff, one
+    per cutoff radius, in the order given.
 
     Both extensions are composed with X -> X +- cutoff(|X|/R) e_1 and the
     half-ball energies of the two displaced pairs are compared with twice
     the undisplaced one. Homogeneous minimizing pairs make this decay like
     R^(n-2-sigma). Displaced values are recomputed through the extension
     (the kernel convolution evaluates anywhere), so no interpolation bias
-    enters the difference.
+    enters the difference. The extensions do not depend on R and are
+    built once for all radii, after every radius is checked against the
+    reach.
     """
+    radii = [float(r) for r in radii]
     hg_reach = min(hg.padded_half_width - 1.0, float(hg.z_array()[-1]))
-    if r_cut > hg_reach + 1e-12:
-        raise OutOfRangeError(
-            f"cutoff radius {r_cut} exceeds the pullback-safe reach {hg_reach}"
-        )
+    for r_cut in radii:
+        if r_cut > hg_reach + 1e-12:
+            raise OutOfRangeError(
+                f"cutoff radius {r_cut} exceeds the pullback-safe reach {hg_reach}"
+            )
     ubar = extend_scalar(pair.u, hg, params.s)
     uset = extend_set(pair.phases, hg, params.sigma)
     ev_u, ev_e = _field_evaluators(pair, hg, params)
 
-    def energy(fs_vals, fu_vals):
+    def energy(fs_vals, fu_vals, r_cut):
         fs = ExtendedField(hg, fs_vals, ubar.weight_exponent)
         fu = ExtendedField(hg, fu_vals, uset.weight_exponent)
         return weighted_dirichlet(fs, r_cut) + params.c_ratio * weighted_dirichlet(
             fu, r_cut
         )
 
-    base = energy(ubar.values, uset.values)
-    plus = energy(
-        _pulled_values(ubar, ev_u, +1.0, r_cut),
-        _pulled_values(uset, ev_e, +1.0, r_cut),
-    )
-    minus = energy(
-        _pulled_values(ubar, ev_u, -1.0, r_cut),
-        _pulled_values(uset, ev_e, -1.0, r_cut),
-    )
-    return (plus - base) + (minus - base)
+    defects = []
+    for r_cut in radii:
+        base = energy(ubar.values, uset.values, r_cut)
+        plus = energy(
+            _pulled_values(ubar, ev_u, +1.0, r_cut),
+            _pulled_values(uset, ev_e, +1.0, r_cut),
+            r_cut,
+        )
+        minus = energy(
+            _pulled_values(ubar, ev_u, -1.0, r_cut),
+            _pulled_values(uset, ev_e, -1.0, r_cut),
+            r_cut,
+        )
+        defects.append((plus - base) + (minus - base))
+    return defects

@@ -43,11 +43,3 @@ def smoothstep_quintic(t):
     """C^2 ramp: 0 for t <= 0, 1 for t >= 1, 6t^5 - 15t^4 + 10t^3 between."""
     t = np.clip(t, 0.0, 1.0)
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
-
-
-def is_power_of_two(r: float) -> bool:
-    """True when r = 2**k for an integer k (binary-exact scaling factor)."""
-    if r <= 0.0 or not math.isfinite(r):
-        return False
-    mantissa, _ = math.frexp(r)
-    return mantissa == 0.5

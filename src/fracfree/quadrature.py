@@ -18,6 +18,8 @@ import hashlib
 import json
 import math
 import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -792,35 +794,59 @@ def _cache_path(cache_dir: str, header: dict) -> str:
     return os.path.join(cache_dir, f"ktable-{digest}.npz")
 
 
+def _load_cached_offsets(path: str, header: dict):
+    """Offsets stored at path under the same header, or None.
+
+    A missing, truncated or otherwise unreadable file is a miss, like a
+    file written under another header.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as payload:
+            if json.loads(str(payload["header"])) != header:
+                return None
+            return payload["offsets"].copy()
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+
+
+def _store_offsets(path: str, header: dict, offsets: np.ndarray) -> None:
+    """Write through a temporary file beside path, then rename over it, so
+    readers only ever see a complete file."""
+    cache_dir = os.path.dirname(path)
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, header=json.dumps(header, sort_keys=True), offsets=offsets)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def assemble_table(grid: Grid, alpha: float, tol: float = 1e-9,
                    cache_dir: str | None = None) -> KernelTable:
     """All unordered pair weights of the grid, deduplicated by offset.
 
     Deterministic regardless of worker count: rows are computed in fixed
     blocks and merged in index order. With ``cache_dir`` the offset array
-    is cached on disk keyed by (n, m, L, alpha, tol, version).
+    is cached on disk keyed by (n, m, L, alpha, tol, version); an
+    unreadable cache file is recomputed and rewritten.
     """
     _check_alpha(alpha)
     header = _cache_header(grid, alpha, tol)
     if cache_dir is not None:
         path = _cache_path(cache_dir, header)
-        if os.path.exists(path):
-            with np.load(path, allow_pickle=False) as payload:
-                stored = json.loads(str(payload["header"]))
-                if stored == header:
-                    return KernelTable(grid, alpha, tol, payload["offsets"].copy())
+        offsets = _load_cached_offsets(path, header)
+        if offsets is not None:
+            return KernelTable(grid, alpha, tol, offsets)
     m, h = grid.spec.cells_per_side, grid.h
     if grid.dimension == 1:
         offsets = _offsets_1d(m, h, alpha)
     else:
         offsets = _offsets_2d(m, h, alpha)
     if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        np.savez(
-            _cache_path(cache_dir, header),
-            header=json.dumps(header, sort_keys=True),
-            offsets=offsets,
-        )
+        _store_offsets(path, header, offsets)
     return KernelTable(grid, alpha, tol, offsets)
 
 

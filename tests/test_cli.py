@@ -76,6 +76,18 @@ def test_run_writes_manifest_and_echo(tmp_path):
     assert echo["solver"]["qp_tolerance"] == CONFIG_SCHEMA["solver"]["qp_tolerance"]
 
 
+def test_worker_cap_is_scoped_to_the_run(tmp_path):
+    from fracfree import numerics
+
+    outer = numerics.worker_cap()
+    numerics.set_worker_cap(3)
+    try:
+        run_experiment(validate_config(minimal_config(tmp_path, threads=8)))
+        assert numerics.worker_cap() == 3
+    finally:
+        numerics.set_worker_cap(outer)
+
+
 def test_summary_values_recomputable_from_csv(tmp_path):
     report = run_experiment(validate_config(minimal_config(tmp_path)))
     rows = list(csv.reader(open(os.path.join(report.run_dir, "breakdown.csv"))))

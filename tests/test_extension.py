@@ -15,7 +15,14 @@ from fracfree import (
     rescale_pair,
     sample_datum,
 )
-from fracfree.model import cone_datum, DiscreteFunction, ExteriorDatum, ConstantF, HalfspaceSet
+from fracfree.model import (
+    BallSet,
+    ConstantF,
+    DiscreteFunction,
+    ExteriorDatum,
+    HalfspaceSet,
+    cone_datum,
+)
 from fracfree.extension import (
     ExtendedField,
     cone_defect,
@@ -180,7 +187,7 @@ def test_cone_defect_smoke_1d():
     g = build_grid(GridSpec(1, 6.0, 96, 384.0, 1.0))
     pair = make_pair(*sample_datum(cone_datum(params.scaling_degree, (1.0, -1.0)), g))
     hg = make_half_grid(g, ratio=1.25, top=4.2, pad_cells=10)
-    val = cone_defect(pair, 4.0, hg, params)
+    (val,) = cone_defect(pair, [4.0], hg, params)
     assert math.isfinite(val)
 
 
@@ -190,7 +197,7 @@ def test_cone_defect_requires_reach():
     pair = make_pair(*sample_datum(cone_datum(params.scaling_degree, (1.0, -1.0)), g))
     hg = make_half_grid(g, top=1.3, pad_cells=2)
     with pytest.raises(OutOfRangeError):
-        cone_defect(pair, 8.0, hg, params)
+        cone_defect(pair, [8.0], hg, params)
 
 
 def test_pullback_is_identity_outside_cutoff():
@@ -208,3 +215,50 @@ def test_pullback_is_identity_outside_cutoff():
     rr = np.sqrt(z[:, None] ** 2 + hg.padded_axis[None, :] ** 2)
     outside = rr >= 0.75 * 4.0
     assert np.array_equal(moved[outside], f.values[outside])
+
+
+def test_cone_defect_radii_match_single_radius_calls():
+    params = FractionalParams(0.625, 0.25)
+    g = build_grid(GridSpec(1, 6.0, 96, 384.0, 1.0))
+    pair = make_pair(*sample_datum(cone_datum(params.scaling_degree, (1.0, -1.0)), g))
+    hg = make_half_grid(g, ratio=1.25, top=4.2, pad_cells=10)
+    radii = [1.0, 2.0, 4.0]
+    together = cone_defect(pair, radii, hg, params)
+    apart = [cone_defect(pair, [r], hg, params)[0] for r in radii]
+    assert together == apart
+
+
+def test_cone_defect_checks_every_radius_before_building(monkeypatch):
+    from fracfree import extension
+
+    def no_build(*args):
+        raise AssertionError("extension built before the reach check")
+
+    monkeypatch.setattr(extension, "extend_scalar", no_build)
+    monkeypatch.setattr(extension, "extend_set", no_build)
+    params = FractionalParams(0.625, 0.25)
+    g = build_grid(GridSpec(1, 2.0, 32, 128.0, 1.0))
+    pair = make_pair(*sample_datum(cone_datum(params.scaling_degree, (1.0, -1.0)), g))
+    hg = make_half_grid(g, top=1.3, pad_cells=2)
+    with pytest.raises(OutOfRangeError):
+        cone_defect(pair, [0.5, 8.0], hg, params)
+
+
+@pytest.mark.parametrize("set_spec, levels", [
+    (HalfspaceSet((1.0, 2.0), 0.3), 8),      # exact far mass
+    (BallSet((0.5, -0.25), 3.0, -1), 2),     # angular far masses
+])
+def test_lattice_convolution_matches_direct_rows(set_spec, levels):
+    from fracfree.extension import _extend_2d, _lattice_points, _make_row_2d
+
+    g = build_grid(GridSpec(2, 2.0, 6, 128.0, 1.5))
+    hg = make_half_grid(g, levels=levels, ratio=1.6, pad_cells=1)  # 8x8 lattice
+    nx = hg.padded_axis.size
+    trace = np.random.RandomState(5).uniform(-1.0, 1.0, (nx, nx))
+    beta = 0.7
+    fft_vals = _extend_2d(hg, trace, set_spec, 0.6, -0.9, beta)
+    row = _make_row_2d(hg, trace, set_spec, 0.6, -0.9, beta)
+    pts = _lattice_points(hg)
+    direct = np.stack([row(pts, z).reshape(nx, nx) for z in hg.z_array()])
+    assert np.array_equal(fft_vals[0], trace)
+    assert np.max(np.abs(fft_vals[1:] - direct)) < 1e-13

@@ -199,6 +199,21 @@ def test_table_cache_roundtrip(tmp_path):
     assert header["alpha"] == 0.5 and header["m"] == 16 and header["version"] >= 1
 
 
+@pytest.mark.parametrize("keep", [0, 100])
+def test_table_cache_recomputes_truncated_file(tmp_path, keep):
+    g = build_grid(GridSpec(1, 1.0, 16, 64.0, 1.0))
+    fresh = assemble_table(g, 0.5)
+    assemble_table(g, 0.5, cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    path.write_bytes(path.read_bytes()[:keep])
+    rebuilt = assemble_table(g, 0.5, cache_dir=str(tmp_path))
+    assert np.array_equal(rebuilt.offset_weights, fresh.offset_weights)
+    # the rewritten file is whole and replaced the truncated one in place
+    assert list(tmp_path.iterdir()) == [path]
+    reread = assemble_table(g, 0.5, cache_dir=str(tmp_path))
+    assert np.array_equal(reread.offset_weights, fresh.offset_weights)
+
+
 def test_table_cache_version_bump_invalidates(tmp_path, monkeypatch):
     g = build_grid(GridSpec(1, 1.0, 8, 64.0, 1.0))
     t1 = assemble_table(g, 0.5, cache_dir=str(tmp_path))
