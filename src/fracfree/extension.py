@@ -15,6 +15,7 @@ the translation-defect probe for homogeneous pairs.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,7 +281,8 @@ def _total_set_mass_2d(pts, z: float, set_spec, lp: float, beta: float, tol: flo
 
 def _poisson_region_masses(pts, z: float, set_spec, lp: float, beta: float, tol: float):
     """(mass of E0 minus boxpad, mass of E0^c minus boxpad) from each point,
-    by angular quadrature with the exact radial kernel integral."""
+    by angular quadrature with the exact radial kernel integral. Points
+    whose angular rule stops at its cap are reported in one warning."""
     pos_terms = tuple(_set_terms_2d(set_spec))
     regions = (
         Region2D(lp, pos_terms),
@@ -291,11 +293,21 @@ def _poisson_region_masses(pts, z: float, set_spec, lp: float, beta: float, tol:
         return z**beta * (t * t + z * z) ** (-0.5 * beta) / (2.0 * math.pi)
 
     out = []
-    for reg in regions:
-        vals = np.empty(pts.shape[0])
-        for i in range(pts.shape[0]):
-            vals[i] = angular_region_integral(pts[i], reg, cdf, tol=tol)
-        out.append(vals)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for reg in regions:
+            vals = np.empty(pts.shape[0])
+            for i in range(pts.shape[0]):
+                vals[i] = angular_region_integral(pts[i], reg, cdf, tol=tol)
+            out.append(vals)
+    capped = [w for w in caught if "angular quadrature stopped" in str(w.message)]
+    for w in caught:
+        if w not in capped:
+            warnings.warn(w.message, w.category, stacklevel=2)
+    if capped:
+        warnings.warn(f"{len(capped)} of {2 * pts.shape[0]} Poisson far masses at "
+                      f"z={z:.3g} hit the angular cap, e.g. {capped[0].message}",
+                      RuntimeWarning, stacklevel=2)
     return out
 
 
@@ -535,14 +547,20 @@ def annulus_fractions(hg: HalfGrid, r_lo: float, r_hi: float) -> np.ndarray:
 
 
 def weighted_dirichlet(field: ExtendedField, r: float,
-                       a: float | None = None) -> float:
-    """Integral of z^a |grad f|^2 over the half-ball of radius r."""
+                       a: float | None = None,
+                       frac: np.ndarray | None = None) -> float:
+    """Integral of z^a |grad f|^2 over the half-ball of radius r.
+
+    frac, if given, is annulus_fractions(field.half_grid, 0, r), computed
+    once by callers that integrate several fields over the same ball.
+    """
     _check_reach(field, r)
     hg = field.half_grid
     a = field.weight_exponent if a is None else a
     wz = hg.z_bin_integrals(a)
     g2 = field.gradient_squared()
-    frac = annulus_fractions(hg, 0.0, r)
+    if frac is None:
+        frac = annulus_fractions(hg, 0.0, r)
     h_n = hg.grid.h ** hg.grid.dimension
     shape = (-1,) + (1,) * (g2.ndim - 1)
     contrib = g2 * frac * wz.reshape(shape) * h_n
@@ -606,8 +624,9 @@ def weiss_profile(pair: AdmissiblePair, radii, params: FractionalParams,
     n = pair.grid.dimension
     g_vals, h_vals = [], []
     for r in radii:
-        d_s = weighted_dirichlet(ubar, r)
-        d_sig = weighted_dirichlet(uset, r)
+        frac = annulus_fractions(hg, 0.0, r)
+        d_s = weighted_dirichlet(ubar, r, frac=frac)
+        d_sig = weighted_dirichlet(uset, r, frac=frac)
         g_vals.append(r ** (params.sigma - n) * (d_s + params.c_ratio * d_sig))
         shell = shell_average(ubar, r, 1.0 - 2.0 * params.s, shell_cells)
         h_vals.append(
@@ -765,25 +784,27 @@ def cone_defect(pair: AdmissiblePair, radii, hg: HalfGrid,
     uset = extend_set(pair.phases, hg, params.sigma)
     ev_u, ev_e = _field_evaluators(pair, hg, params)
 
-    def energy(fs_vals, fu_vals, r_cut):
+    def energy(fs_vals, fu_vals, r_cut, frac):
         fs = ExtendedField(hg, fs_vals, ubar.weight_exponent)
         fu = ExtendedField(hg, fu_vals, uset.weight_exponent)
-        return weighted_dirichlet(fs, r_cut) + params.c_ratio * weighted_dirichlet(
-            fu, r_cut
-        )
+        return (weighted_dirichlet(fs, r_cut, frac=frac)
+                + params.c_ratio * weighted_dirichlet(fu, r_cut, frac=frac))
 
     defects = []
     for r_cut in radii:
-        base = energy(ubar.values, uset.values, r_cut)
+        frac = annulus_fractions(hg, 0.0, r_cut)
+        base = energy(ubar.values, uset.values, r_cut, frac)
         plus = energy(
             _pulled_values(ubar, ev_u, +1.0, r_cut),
             _pulled_values(uset, ev_e, +1.0, r_cut),
             r_cut,
+            frac,
         )
         minus = energy(
             _pulled_values(ubar, ev_u, -1.0, r_cut),
             _pulled_values(uset, ev_e, -1.0, r_cut),
             r_cut,
+            frac,
         )
         defects.append((plus - base) + (minus - base))
     return defects

@@ -1,15 +1,19 @@
 """Interaction weights for the singular kernel |x-y|^(-(n+alpha)).
 
 Cell-pair weights W_ij (the kernel integrated over C_i x C_j) are exact in
-1D via a double antiderivative. In 2D touching and near pairs are refined
-by recursive dyadic subdivision with midpoint leaves, and distant pairs use
-a single midpoint evaluation. Tail weights integrate a cell against an
-unbounded exterior region: closed forms in 1D, adaptive angular quadrature
-with an exact radial integral in 2D.
+1D via a double antiderivative. In 2D they reduce to the difference
+variable: separated pairs take tensor Gauss, touching pairs an angular
+rule with exact radial integrals. Tail weights integrate a cell against an
+unbounded exterior region: closed forms in 1D; in 2D, for alpha < 1, the
+exact 1D pair weight along every line through the cell, with quadrature
+over the lines only (Santalo's line-measure identity), doubled in order
+until it meets the table's tolerance.
 
-For alpha >= 1 the exact integral over touching geometry diverges; the
-depth-limited subdivision then acts as the regularization shared by every
-energy term, so identities between terms still hold cell-by-cell.
+For alpha >= 1 the exact integral over touching geometry diverges; a
+depth-limited regularization (the closed-form convention in 1D, dyadic
+subdivision with midpoint leaves and an angular-radial rule in 2D) is then
+shared by every energy term, so identities between terms still hold
+cell-by-cell.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 import zipfile
 from dataclasses import dataclass
 
@@ -39,7 +44,7 @@ from .model import (
 )
 from .numerics import map_blocks, ordered_sum
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 NEAR_FACTOR = 2.0          # pairs closer than this many diameters get subdivided
 MID_FACTOR = 6.0           # pairs out to this range get two extra split levels
 DEPTH_1D = 12
@@ -301,23 +306,22 @@ def _ray_tent_integral(theta, delta, wa, wb, alpha):
     return total
 
 
-def _pair_weight_polar_2d(delta, wa, wb, alpha, order=48):
+def _pair_weight_polar_2d(delta, wa, wb, alpha, order=12):
     """Tent-reduced weight by angular quadrature with exact radial integrals.
 
     Used for touching pairs with alpha < 1, where the tent support reaches
-    the kernel singularity but the product vanishes there.
+    the kernel singularity but the product vanishes there. The arcs split
+    at the directions to every corner and interior kink of the tent
+    support, so the ray integral is smooth on each arc.
     """
-    corners = []
-    for sx in (-1.0, 1.0):
-        for sy in (-1.0, 1.0):
-            corners.append(
-                math.atan2(
-                    delta[1] + sy * 0.5 * (wa[1] + wb[1]),
-                    delta[0] + sx * 0.5 * (wa[0] + wb[0]),
-                )
-            )
+    kinks = [
+        [delta[k] - 0.5 * (wa[k] + wb[k]), delta[k] - 0.5 * abs(wa[k] - wb[k]),
+         delta[k] + 0.5 * abs(wa[k] - wb[k]), delta[k] + 0.5 * (wa[k] + wb[k])]
+        for k in range(2)
+    ]
     arcs = sorted(
-        {c % (2.0 * math.pi) for c in corners}
+        {math.atan2(y, x) % (2.0 * math.pi)
+         for x in kinks[0] for y in kinks[1] if x != 0.0 or y != 0.0}
         | {0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi}
     )
     xs, ws = _gauss01(order)
@@ -573,8 +577,10 @@ def _angular_batch(points, weights, region: Region2D, radial_cdf,
     ray piece contributes radial_cdf(lo) - radial_cdf(hi). One adaptively
     doubled midpoint rule in the angle serves the whole batch; the
     relative stopping test on the weighted total is invariant under
-    rescaling the geometry. With per_point the per-point integrals are
-    returned (their accuracy tracks the batch total).
+    rescaling the geometry; a RuntimeWarning reports the relative change
+    reached if n_max stops the doubling first. With per_point the
+    per-point integrals are returned (their accuracy tracks the batch
+    total). Serves the 2D Poisson masses and the alpha >= 1 tails.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.asarray(weights, dtype=float)
@@ -607,10 +613,15 @@ def _angular_batch(points, weights, region: Region2D, radial_cdf,
             acc += coef * vals
         row = acc.sum(axis=1) * (2.0 * math.pi / n_theta)
         total = float(weights @ row)
-        if prev is not None and (
-            abs(total - prev) <= tol * max(abs(total), 1e-300) or n_theta >= n_max
-        ):
-            return row if per_point else total
+        if prev is not None:
+            change = abs(total - prev) / max(abs(total), 1e-300)
+            if change > tol and n_theta >= n_max:
+                warnings.warn(
+                    f"angular quadrature stopped at {n_theta} angles with "
+                    f"relative change {change:.2e} > tol {tol:.1e}",
+                    RuntimeWarning, stacklevel=2)
+            if change <= tol or n_theta >= n_max:
+                return row if per_point else total
         prev = total
         n_theta *= 2
 
@@ -662,8 +673,10 @@ def tail_weight(cell, region, alpha: float, tol: float = 1e-8) -> float:
 
     1D is closed form (exact out to infinity); a region touching the cell
     with alpha >= 1 uses the same depth-limited regularization as touching
-    pairs. 2D subdivides the cell toward the box boundary and evaluates the
-    angular-radial integral at subcell centers.
+    pairs. 2D integrates exactly along lines for alpha < 1, with quadrature
+    over the lines only; for alpha >= 1 it subdivides the cell toward the
+    box boundary and evaluates the angular-radial integral at subcell
+    centers, the regularization shared with touching pairs.
     """
     _check_alpha(alpha)
     lo, hi = _normalize_cell(cell)
@@ -701,7 +714,13 @@ def tail_weight(cell, region, alpha: float, tol: float = 1e-8) -> float:
         raise GeometryError("region dimensionality does not match the cell")
     if region.is_empty():
         return 0.0
-    return _cell_region_2d(lo, hi, region, alpha, tol, DEPTH_2D)
+    if alpha >= 1.0:
+        return _cell_region_2d(lo, hi, region, alpha, tol, DEPTH_2D)
+    L = region.box_half
+    if np.any(np.abs(np.concatenate([lo, hi])) > L * (1.0 + 1e-12)):
+        raise GeometryError("2D tail cells must lie inside the box")
+    return ordered_sum([coef * _line_cell_tail(lo, hi, L, term, alpha, tol)
+                        for coef, term in region.terms])
 
 
 def _cell_leaves_2d(lo, hi, box_half, depth):
@@ -730,6 +749,291 @@ def _cell_region_2d(lo, hi, region, alpha, tol, depth):
     pts, wts = _cell_leaves_2d(lo, hi, region.box_half, depth)
     return _angular_batch(pts, wts, region,
                           lambda t: t ** (-alpha) / alpha, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# 2D cell tails along lines (alpha < 1)
+#
+# Parametrize a pair of points by the oriented line through them (direction
+# theta in [0, 2 pi), signed distance rho) and their positions s < t along
+# it: dx dy = (t - s) dtheta drho ds dt (Santalo's line-measure identity).
+# Against the kernel |x - y|^(-(2+alpha)) the inner (s, t) integral is the
+# exact 1D pair weight of the cell chord against the part of the region
+# ahead of the box exit, and every region primitive meets that ray in one
+# interval. Only (theta, rho) is quadrature: both split where the geometry
+# seen along a line changes, with endpoint-clustered Gauss-Legendre on
+# every piece, so the integrand is smooth inside each piece up to algebraic
+# endpoint singularities that the clustering absorbs.
+
+LINE_ORDER_START = 8
+LINE_ORDER_MAX = 128
+_LINE_BLOCK = 1 << 17      # line nodes evaluated per vectorized pass
+_CLUSTER_CACHE: dict = {}
+
+
+def _clustered01(n: int):
+    """Gauss-Legendre on [0, 1] pulled through the septic ramp
+    phi(u) = 35u^4 - 84u^5 + 70u^6 - 20u^7, whose derivative 140 u^3 (1-u)^3
+    vanishes to third order at both ends."""
+    if n not in _CLUSTER_CACHE:
+        u, w = _gauss01(n)
+        phi = u**4 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
+        _CLUSTER_CACHE[n] = (phi, w * 140.0 * (u * (1.0 - u)) ** 3)
+    return _CLUSTER_CACHE[n]
+
+
+def _term_halfplanes(term):
+    """A half-plane or sector term as a list of (normal, offset) with
+    membership normal . y > offset."""
+    if isinstance(term, _HalfplaneTerm):
+        return [(np.asarray(term.normal, dtype=float), float(term.offset))]
+    return [
+        (np.array([-math.sin(term.angle_lo), math.cos(term.angle_lo)]), 0.0),
+        (np.array([math.sin(term.angle_hi), -math.cos(term.angle_hi)]), 0.0),
+    ]
+
+
+def _box_crossings(crossings, L):
+    """Points on the box boundary where a curve meets it; crossings(k, e)
+    lists the other coordinate of the curve's points with y_k = e."""
+    pts = []
+    for k in range(2):
+        for edge in (-L, L):
+            for other in crossings(k, edge):
+                if abs(other) <= L:
+                    p = [0.0, 0.0]
+                    p[k], p[1 - k] = edge, other
+                    pts.append(p)
+    return pts
+
+
+@dataclass(frozen=True)
+class _LineFeatures:
+    """What a line can cross that changes the integrand along it.
+
+    verts are the cell vertices; others the box corners and the points
+    where the term's boundary meets the box; circle the (center, radius)
+    of a ball term, whose tangent lines are features too; dirs the
+    boundary directions of half-plane and sector terms, along which the
+    region runs off to infinity. singular marks cells with algebraic
+    endpoint singularities in both variables (touching the box, or a ball
+    term); cut_rho marks cells whose chords the term boundary can cut.
+    """
+
+    verts: np.ndarray
+    others: np.ndarray
+    circle: tuple | None
+    dirs: tuple
+    singular: bool
+    cut_rho: bool
+
+
+def _line_features(lo, hi, L, term) -> _LineFeatures:
+    verts = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
+    corners = np.array([[-L, -L], [L, -L], [L, L], [-L, L]])
+    extra, dirs, circle, cut = [], [], None, False
+    if isinstance(term, _BallTerm):
+        center, radius = np.asarray(term.center, dtype=float), float(term.radius)
+        circle = (center, radius)
+        extra = _box_crossings(
+            lambda k, e: [center[1 - k] + sgn * math.sqrt(radius**2 - (e - center[k]) ** 2)
+                          for sgn in (-1.0, 1.0) if abs(e - center[k]) <= radius], L)
+    elif term is not None:
+        for normal, offset in _term_halfplanes(term):
+            extra += _box_crossings(
+                lambda k, e: [(offset - normal[k] * e) / normal[1 - k]]
+                if normal[1 - k] != 0.0 else [], L)
+            dirs.append(math.atan2(-normal[0], normal[1]))
+            # a boundary through the cell, or within half its size of it
+            side = (verts @ normal - offset) / math.hypot(*normal)
+            reach = 0.5 * math.hypot(*(hi - lo))
+            cut |= bool(side.min() <= reach and side.max() >= -reach)
+        if isinstance(term, _SectorTerm):
+            extra.append([0.0, 0.0])
+    others = np.concatenate([corners, np.asarray(extra, dtype=float).reshape(-1, 2)])
+    singular = circle is not None or bool(np.max(np.abs(verts)) >= L)
+    return _LineFeatures(verts, others, circle, tuple(dirs), singular, cut or singular)
+
+
+def _theta_breaks(feat: _LineFeatures):
+    """Directions where a line meets two features at once, or runs along a
+    term boundary; sorted in [0, 2 pi] with the axes included."""
+    pts = np.concatenate([feat.verts, feat.others])
+    diff = pts[None, :, :] - feat.verts[:, None, :]
+    apart = np.hypot(diff[..., 0], diff[..., 1]) > 0.0
+    angles = list(np.arctan2(diff[..., 1], diff[..., 0])[apart]) + list(feat.dirs)
+    if feat.circle is not None:
+        center, radius = feat.circle
+        for p in pts:
+            dist = math.hypot(*(center - p))
+            if dist > radius:
+                base = math.atan2(center[1] - p[1], center[0] - p[0])
+                half = math.asin(radius / dist)
+                angles += [base - half, base + half]
+    angles = np.asarray(angles)
+    brk = np.mod(np.concatenate([angles, angles + math.pi]), 2.0 * math.pi)
+    brk = np.unique(np.concatenate([brk, 0.5 * math.pi * np.arange(5)]))
+    return brk[np.concatenate([[True], np.diff(brk) > 1e-12])]
+
+
+def _term_line_interval(term, rho, c, s):
+    """Parameter interval of the line rho n + t d inside one primitive,
+    with d = (c, s) and n = (-s, c); empty intervals have hi <= lo."""
+    if term is None:
+        return -np.inf, np.inf
+    if isinstance(term, _BallTerm):
+        cx, cy = term.center
+        along = cx * c + cy * s
+        disc = term.radius**2 - (rho - (cy * c - cx * s)) ** 2
+        root = np.sqrt(np.maximum(disc, 0.0))
+        return along - root, np.where(disc > 0.0, along + root, -np.inf)
+    t_lo, t_hi = -np.inf, np.inf
+    for normal, offset in _term_halfplanes(term):
+        dn = normal[0] * c + normal[1] * s
+        with np.errstate(divide="ignore", invalid="ignore"):  # dn == 0: no crossing
+            tau = (offset - rho * (normal[1] * c - normal[0] * s)) / dn
+        t_lo = np.where(dn > 0.0, np.maximum(t_lo, tau), t_lo)
+        t_hi = np.where(dn < 0.0, np.minimum(t_hi, tau), t_hi)
+    return t_lo, t_hi
+
+
+def _line_pair_weights(rho, c, s, lo, hi, L, term, alpha):
+    """_pair_weight_1d of the cell chord [a, b] against the part [b + u0,
+    b + u1] of the term beyond the box exit, on the lines rho n + t d
+    with d = (c, s), n = (-s, c); rho has one row per direction.
+
+    It is F(u0) - F(u1) with F(u) = (u + w)^p - u^p, w = b - a and
+    p = 1 - alpha; this form keeps its digits when u is large against w.
+    A cell face on the box boundary gives u0 == 0 exactly, because the
+    cell exit and the box exit come from the same expression.
+    """
+    # the line crosses x = X at t = X / c + rho s / c, y = Y at Y / s - rho c / s
+    fwd_x, fwd_y = c > 0.0, s > 0.0
+    tx, ty = rho * (s / c), rho * (-c / s)
+    a = np.maximum(np.where(fwd_x, lo[0], hi[0]) / c + tx,
+                   np.where(fwd_y, lo[1], hi[1]) / s + ty)
+    b = np.minimum(np.where(fwd_x, hi[0], lo[0]) / c + tx,
+                   np.where(fwd_y, hi[1], lo[1]) / s + ty)
+    exit_ = np.minimum(np.where(fwd_x, L, -L) / c + tx, np.where(fwd_y, L, -L) / s + ty)
+    w = np.maximum(b - a, 0.0)
+    t_lo, t_hi = _term_line_interval(term, rho, c, s)
+    # a term boundary along the box boundary meets the exit up to roundoff,
+    # which the u^p of F would magnify: such gaps are closed
+    snap = 1e-13 * L
+    u0 = np.maximum(np.maximum(t_lo, exit_) - b, 0.0)
+    u0 = np.where(u0 <= snap, 0.0, u0)
+    u1 = np.maximum(t_hi - b, u0)
+    u1 = np.where(u1 - u0 <= snap, u0, u1)
+    p = 1.0 - alpha
+
+    def f(u):
+        out = np.zeros(u.shape)
+        touch = u == 0.0
+        out[touch] = w[touch] ** p
+        gap = (u > 0.0) & np.isfinite(u)
+        ug = u[gap]
+        out[gap] = ug**p * np.expm1(p * np.log1p(w[gap] / ug))
+        return out
+
+    far = f(u1) if np.isfinite(u1).any() else 0.0
+    return (f(u0) - far) / (alpha * p)
+
+
+def _theta_arcs(feat: _LineFeatures):
+    """(start, width, clustered) of every theta arc.
+
+    Singular cells take the clustered rule on every arc; other cells only
+    on the arcs that end at a term boundary direction.
+    """
+    brk = _theta_breaks(feat)
+    start, width = brk[:-1], np.diff(brk)
+    if feat.singular:
+        return start, width, np.ones(start.size, dtype=bool)
+    par = np.mod(np.concatenate([feat.dirs, np.add(feat.dirs, math.pi)]), 2.0 * math.pi)
+    ends = np.mod(np.concatenate([start, start + width]), 2.0 * math.pi)
+    hit = np.isclose(ends[:, None], par[None, :], rtol=0.0, atol=1e-12).any(axis=1)
+    return start, width, hit[: start.size] | hit[start.size:]
+
+
+def _line_arc_sums(lo, hi, L, term, alpha, feat: _LineFeatures, arcs, n: int):
+    """The (theta, rho) quadrature at order n, one sum per theta arc.
+
+    Rho is split at the projections of every feature point, clipped to the
+    cell's own range, and clustered where the term boundary can cut the
+    chords.
+    """
+    start, width, cluster = arcs
+    xg, wg = _gauss01(n)
+    xc, wc = _clustered01(n)
+    pick = cluster[:, None]
+    theta = (start[:, None] + width[:, None] * np.where(pick, xc, xg)).ravel()
+    w_theta = (width[:, None] * np.where(pick, wc, wg)).ravel()
+    x, w = (xc, wc) if feat.cut_rho else (xg, wg)
+    c, s = np.cos(theta), np.sin(theta)
+    proj = lambda pts: pts[:, 1][None, :] * c[:, None] - pts[:, 0][None, :] * s[:, None]
+    rho_v = proj(feat.verts)
+    cuts = [rho_v, proj(feat.others)]
+    if feat.circle is not None:
+        (cx, cy), radius = feat.circle
+        mid = cy * c - cx * s
+        cuts.append(np.stack([mid - radius, mid + radius], axis=1))
+    cuts = np.sort(np.clip(np.concatenate(cuts, axis=1),
+                           rho_v.min(axis=1, keepdims=True),
+                           rho_v.max(axis=1, keepdims=True)), axis=1)
+    r0, r1 = cuts[:, :-1], cuts[:, 1:]
+    row, col = np.nonzero(r1 > r0)
+    r0, span = r0[row, col], r1[row, col] - r0[row, col]
+    contrib = np.empty(row.size)
+    step = max(1, _LINE_BLOCK // n)
+    for k in range(0, row.size, step):
+        sl = slice(k, k + step)
+        rho = r0[sl, None] + span[sl, None] * x
+        vals = _line_pair_weights(rho, c[row[sl], None], s[row[sl], None],
+                                  lo, hi, L, term, alpha)
+        contrib[sl] = w_theta[row[sl]] * span[sl] * (vals @ w)
+    return np.bincount(row // n, weights=contrib, minlength=start.size)
+
+
+def _line_cell_tail(lo, hi, L, term, alpha, tol):
+    """Tail of one cell against term minus box.
+
+    Each theta arc doubles its order until its last doubling moved it by
+    at most tol / (2 * arcs) of the total, and the total stops once the
+    last doublings of all arcs move it by at most tol; a warning reports
+    the order cap if it stops them first. Changes are relative to the
+    total, or to the kernel mass every point of the box sees beyond the
+    box diagonal if that is larger: a term that barely meets the region
+    beyond the box (a ball tangent to it) has a tail at roundoff level.
+    Cell faces within roundoff of the box boundary are put on it, so a
+    touching face is exactly touching.
+    """
+    snap = 1e-12 * L
+    lo = np.where(np.abs(lo + L) <= snap, -L, lo)
+    hi = np.where(np.abs(hi - L) <= snap, L, hi)
+    feat = _line_features(lo, hi, L, term)
+    arcs = _theta_arcs(feat)
+    floor = np.prod(hi - lo) * 2.0 * math.pi * (2.0 * math.sqrt(2.0) * L) ** -alpha / alpha
+    n = LINE_ORDER_START
+    sums = _line_arc_sums(lo, hi, L, term, alpha, feat, arcs, n)
+    change = np.zeros(sums.size)
+    active = np.arange(sums.size)
+    while True:
+        n *= 2
+        sub = tuple(part[active] for part in arcs)
+        new = _line_arc_sums(lo, hi, L, term, alpha, feat, sub, n)
+        change[active] = np.abs(new - sums[active])
+        sums[active] = new
+        total = ordered_sum(sums)
+        scale = max(abs(total), floor)
+        moved = ordered_sum(change) / scale
+        active = active[change[active] > 0.5 * tol * scale / sums.size]
+        if moved <= tol or active.size == 0:
+            return total
+        if n >= LINE_ORDER_MAX:
+            warnings.warn(
+                f"2D line tail stopped at order {n} with relative change "
+                f"{moved:.2e} > tol {tol:.1e}", RuntimeWarning, stacklevel=3)
+            return total
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +1199,11 @@ class KernelTable:
         if region not in self._tail_cache:
             g = self.grid
             half = 0.5 * g.h
-            if g.dimension == 2 and isinstance(region, Region2D):
+            if g.dimension == 2 and isinstance(region, Region2D) and self.alpha < 1.0:
+                vals = np.zeros(g.n_cells)
+                for coef, term in region.terms:
+                    vals = vals + coef * self._term_tails_2d(region.box_half, term)
+            elif g.dimension == 2 and isinstance(region, Region2D):
                 vals = self._region_tails_2d_batched(region)
             else:
 
@@ -916,8 +1224,27 @@ class KernelTable:
             self._tail_cache[region] = vals
         return self._tail_cache[region]
 
+    def _term_tails_2d(self, box_half: float, term) -> np.ndarray:
+        """Line-integrated tails of every cell against one region term,
+        memoized per term: complementary regions share their terms."""
+        key = ("term", box_half, term)
+        if key not in self._tail_cache:
+            g = self.grid
+            half = 0.5 * g.h
+
+            def block(idx):
+                return np.array([
+                    _line_cell_tail(g.centers[i] - half, g.centers[i] + half,
+                                    box_half, term, self.alpha, self.tol)
+                    for i in idx
+                ])
+
+            chunks = np.array_split(np.arange(g.n_cells), max(1, g.n_cells // 4))
+            self._tail_cache[key] = np.concatenate(map_blocks(block, chunks))
+        return self._tail_cache[key]
+
     def _region_tails_2d_batched(self, region) -> np.ndarray:
-        """All-cell 2D tails in chunked weighted angular passes."""
+        """All-cell 2D tails in chunked weighted angular passes (alpha >= 1)."""
         g = self.grid
         half = 0.5 * g.h
         if region.is_empty():

@@ -262,3 +262,29 @@ def test_lattice_convolution_matches_direct_rows(set_spec, levels):
     direct = np.stack([row(pts, z).reshape(nx, nx) for z in hg.z_array()])
     assert np.array_equal(fft_vals[0], trace)
     assert np.max(np.abs(fft_vals[1:] - direct)) < 1e-13
+
+
+def test_cone_defect_reuses_annulus_fractions_bit_for_bit(monkeypatch):
+    # one annulus_fractions call per radius, shared by the six energies,
+    # and the defects are bit-identical to recomputing it in every call
+    from fracfree import extension
+
+    params = FractionalParams(0.625, 0.25)
+    g = build_grid(GridSpec(1, 6.0, 96, 384.0, 1.0))
+    pair = make_pair(*sample_datum(cone_datum(params.scaling_degree, (1.0, -1.0)), g))
+    hg = make_half_grid(g, ratio=1.25, top=4.2, pad_cells=10)
+    radii = [1.0, 2.0, 4.0]
+    calls = []
+    fractions = extension.annulus_fractions
+
+    def counted(*args):
+        calls.append(args[1:])
+        return fractions(*args)
+
+    monkeypatch.setattr(extension, "annulus_fractions", counted)
+    shared = cone_defect(pair, radii, hg, params)
+    assert calls == [(0.0, r) for r in radii]
+    dirichlet = extension.weighted_dirichlet
+    monkeypatch.setattr(extension, "weighted_dirichlet",
+                        lambda field, r, a=None, frac=None: dirichlet(field, r, a))
+    assert cone_defect(pair, radii, hg, params) == shared

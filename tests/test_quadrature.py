@@ -21,7 +21,7 @@ from fracfree.quadrature import (
     ray_region,
     set_exterior_regions,
 )
-from fracfree.model import BallSet, FullSet, HalfspaceSet
+from fracfree.model import BallSet, FullSet, HalfspaceSet, SectorSet
 
 C1 = ((0.0,), (1.0,))
 C2 = ((1.0,), (2.0,))
@@ -279,3 +279,198 @@ def test_tail_weight_2d_halfplane_against_1d_marginal():
         for x1 in xs:
             ref += point_region_integral((x0, x1), pos, alpha, tol=1e-9) * hq * hq
     assert t == pytest.approx(ref, rel=2e-2)
+
+
+# ---------------------------------------------------------------------------
+# 2D touching pairs and exterior tails against independent references
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("delta", [(1.0, 0.0), (1.0, 1.0)], ids=["edge", "corner"])
+def test_touching_pair_weight_converged_at_order_12(alpha, delta):
+    # arcs split at every kink direction of the tent: the ray integral is
+    # smooth on each, so order 12 already agrees with order 48
+    h = np.array([1.0, 1.0])
+    lo = _pair_weight_polar_2d(np.array(delta), h, h, alpha, order=12)
+    hi = _pair_weight_polar_2d(np.array(delta), h, h, alpha, order=48)
+    assert abs(lo - hi) <= 1e-14 * hi
+
+
+def _halfplane_identity(grid, table, normal, offset):
+    """(computed, expected) tails of the cells on each side of the line
+    normal . y = offset (normal a signed unit axis vector) against the
+    other side minus the box. Integrated along the line, the kernel is
+    C |d|^-(1+alpha) with C = sqrt(pi) G((1+alpha)/2) / G((2+alpha)/2), so
+    the whole opposite half-plane has the closed-form marginal below; the
+    in-box part of it is the pair weights to the opposite cells."""
+    from scipy.special import gamma
+
+    alpha, h = table.alpha, grid.h
+    c = math.sqrt(math.pi) * gamma(0.5 * (1.0 + alpha)) / gamma(0.5 * (2.0 + alpha))
+    side = grid.centers @ np.asarray(normal) - offset
+    d1 = np.abs(side) - 0.5 * h
+    d1[np.abs(d1) <= 1e-12 * h] = 0.0
+    d2 = d1 + h
+    p = 1.0 - alpha
+    marginal = c * h * (d2**p - d1**p) / (alpha * p)
+    outside = side < 0.0
+    opposite = outside[None, :] != outside[:, None]
+    expected = marginal - (table.dense_matrix() * opposite).sum(axis=1)
+    pos, neg = set_exterior_regions(HalfspaceSet(tuple(normal), offset), grid)
+    got = np.where(outside, table.region_tails(pos), table.region_tails(neg))
+    return got, expected
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("m", [2, 4])
+def test_2d_tails_match_halfplane_marginal(alpha, m):
+    g = build_grid(GridSpec(2, 1.0, m, 64.0, 1.0))
+    table = assemble_table(g, alpha)
+    h = g.h
+    for normal, offset in [((1.0, 0.0), 0.0), ((-1.0, 0.0), 0.0),
+                           ((1.0, 0.0), h), ((-1.0, 0.0), -h),
+                           ((0.0, 1.0), 0.0), ((0.0, -1.0), 0.0)]:
+        got, expected = _halfplane_identity(g, table, normal, offset)
+        err = np.max(np.abs(got - expected) / np.abs(expected))
+        assert err <= 1e-9, (normal, offset, err)
+
+
+def test_2d_tail_of_a_ball_outside_the_box_against_tensor_gauss():
+    from fracfree.quadrature import Region2D, _BallTerm
+
+    alpha = 0.6
+    center, radius = np.array([2.5, 1.0]), 1.2
+    region = Region2D(1.0, ((1.0, _BallTerm(tuple(center), radius)),))
+    cell = (np.array([0.25, -0.5]), np.array([1.0, 0.25]))
+    got = tail_weight(cell, region, alpha, tol=1e-12)
+    # separated pair: Gauss over the cell, Gauss in the radius and the
+    # periodic trapezoid rule in the angle over the ball
+    xs, wx = np.polynomial.legendre.leggauss(24)
+    xr, wr = np.polynomial.legendre.leggauss(24)
+    lo, hi = cell
+    px = 0.5 * (lo[0] + hi[0]) + 0.5 * (hi[0] - lo[0]) * xs
+    py = 0.5 * (lo[1] + hi[1]) + 0.5 * (hi[1] - lo[1]) * xs
+    wcell = np.outer(wx, wx).ravel() * 0.25 * np.prod(hi - lo)
+    pts = np.stack(np.meshgrid(px, py, indexing="ij"), axis=-1).reshape(-1, 2)
+    r = 0.5 * radius * (xr + 1.0)
+    t = 2.0 * math.pi * np.arange(96) / 96
+    ys = center + np.stack([np.outer(r, np.cos(t)), np.outer(r, np.sin(t))], axis=-1)
+    wball = (np.outer(0.5 * radius * wr * r, np.full(96, 2.0 * math.pi / 96))).ravel()
+    ys = ys.reshape(-1, 2)
+    dist = np.linalg.norm(pts[:, None, :] - ys[None, :, :], axis=-1)
+    ref = wcell @ dist ** (-(2.0 + alpha)) @ wball
+    assert got == pytest.approx(ref, rel=1e-10)
+
+
+def _rotate_cell(cell):
+    lo, hi = (np.asarray(v, dtype=float) for v in cell)
+    return np.array([-hi[1], lo[0]]), np.array([-lo[1], hi[0]])
+
+
+@pytest.mark.parametrize("set_spec, turned", [
+    (HalfspaceSet((1.0, 2.0), 0.3), HalfspaceSet((-2.0, 1.0), 0.3)),
+    (SectorSet(2, ((0.3, 2.2),)), SectorSet(2, ((0.3 + 0.5 * math.pi, 2.2 + 0.5 * math.pi),))),
+], ids=["oblique-halfplane", "sector"])
+def test_2d_tails_scale_and_rotate(set_spec, turned):
+    alpha, r = 0.55, 2.0
+    g = build_grid(GridSpec(2, 1.0, 4, 64.0, 1.0))
+    g_r = build_grid(GridSpec(2, r, 4, 64.0 * r, r))
+    pos, _ = set_exterior_regions(set_spec, g)
+    pos_r, _ = set_exterior_regions(set_spec.rescaled(1.0 / r), g_r)
+    pos_t, _ = set_exterior_regions(turned, g)
+    for cell in [((-1.0, -1.0), (-0.5, -0.5)), ((0.0, 0.5), (0.5, 1.0)),
+                 ((-0.5, 0.0), (0.0, 0.5))]:
+        base = tail_weight(cell, pos, alpha, tol=1e-12)
+        assert base > 0.0
+        scaled = tail_weight((r * np.array(cell[0]), r * np.array(cell[1])), pos_r,
+                             alpha, tol=1e-12)
+        assert scaled == pytest.approx(r ** (2.0 - alpha) * base, rel=1e-11)
+        rotated = tail_weight(_rotate_cell(cell), pos_t, alpha, tol=1e-12)
+        assert rotated == pytest.approx(base, rel=1e-11)
+
+
+def test_2d_tails_at_alpha_above_one_keep_their_regularization():
+    # alpha >= 1: the depth-limited angular tails, bit for bit as frozen
+    # from the subdivision engine that defines this regularization
+    g = build_grid(GridSpec(2, 1.0, 2, 64.0, 1.0))
+    pos, _ = set_exterior_regions(HalfspaceSet((1.0, 0.0), 0.0), g)
+    tails = assemble_table(g, 1.2).region_tails(pos)
+    assert [v.hex() for v in tails] == [
+        "0x1.1846eb8f7974bp+1", "0x1.1846eb8f7974ep+1",
+        "0x1.0fd6ffb478904p+5", "0x1.0fd6ffb47890ap+5",
+    ]
+    g4 = build_grid(GridSpec(2, 1.0, 4, 64.0, 1.0))
+    ball, _ = set_exterior_regions(BallSet((0.0, 0.0), 2.0), g4)
+    cell = (np.array([-0.5, -0.5]), np.array([0.0, 0.0]))
+    assert tail_weight(cell, ball, 1.5).hex() == "0x1.69b836f019d5dp-1"
+
+
+def test_region_tails_worker_cap_invariance():
+    g = build_grid(GridSpec(2, 1.0, 4, 64.0, 1.0))
+    pos, neg = set_exterior_regions(HalfspaceSet((1.0, 2.0), 0.3), g)
+    try:
+        set_worker_cap(1)
+        one = [assemble_table(g, 0.5).region_tails(r) for r in (pos, neg)]
+        set_worker_cap(4)
+        four = [assemble_table(g, 0.5).region_tails(r) for r in (pos, neg)]
+    finally:
+        set_worker_cap(1)
+    for a, b in zip(one, four):
+        assert np.array_equal(a, b)
+
+
+def test_angular_quadrature_warns_at_its_cap():
+    from fracfree.quadrature import angular_region_integral
+
+    g = build_grid(GridSpec(2, 1.0, 2, 64.0, 1.0))
+    pos, _ = set_exterior_regions(HalfspaceSet((1.0, 0.0), 0.0), g)
+    with pytest.warns(RuntimeWarning, match="relative change"):
+        angular_region_integral((-0.5, -0.5), pos, lambda t: t ** -0.5 / 0.5,
+                                tol=1e-15, n_start=8, n_max=32)
+
+
+def test_line_tail_warns_at_its_order_cap(monkeypatch):
+    from fracfree import quadrature as q
+
+    monkeypatch.setattr(q, "LINE_ORDER_MAX", 16)
+    g = build_grid(GridSpec(2, 1.0, 2, 64.0, 1.0))
+    pos, _ = set_exterior_regions(HalfspaceSet((1.0, 0.0), 0.0), g)
+    cell = (np.array([-1.0, -1.0]), np.array([0.0, 0.0]))
+    with pytest.warns(RuntimeWarning, match="order 16"):
+        tail_weight(cell, pos, 0.8, tol=1e-15)
+
+
+def test_2d_tail_of_a_ball_across_the_box_boundary_against_tensor_gauss():
+    from fracfree.quadrature import Region2D, _BallTerm
+
+    alpha = 0.7
+    center, radius = np.array([0.5, 0.9]), 0.8
+    region = Region2D(1.0, ((1.0, _BallTerm(tuple(center), radius)),))
+    lo, hi = np.array([-0.5, -0.5]), np.array([0.0, 0.0])
+    got = tail_weight((lo, hi), region, alpha, tol=1e-12)
+    # the ball minus the box, in polar coordinates about the centre: along
+    # each direction from the box exit to the radius, split where the exit
+    # turns the corner (1, 1); the region runs from the right edge to the
+    # top edge, where the circle meets them
+    xs, wx = np.polynomial.legendre.leggauss(24)
+    xp, wp = np.polynomial.legendre.leggauss(48)
+    xr, wr = np.polynomial.legendre.leggauss(32)
+    px = 0.5 * (lo[0] + hi[0]) + 0.5 * (hi[0] - lo[0]) * xs
+    py = 0.5 * (lo[1] + hi[1]) + 0.5 * (hi[1] - lo[1]) * xs
+    pts = np.stack(np.meshgrid(px, py, indexing="ij"), axis=-1).reshape(-1, 2)
+    wcell = np.outer(wx, wx).ravel() * 0.25 * np.prod(hi - lo)
+    right = math.atan2(-math.sqrt(radius**2 - 0.25), 0.5)
+    corner = math.atan2(0.1, 0.5)
+    top = math.atan2(0.1, -math.sqrt(radius**2 - 0.01))
+    ref = 0.0
+    for a0, a1 in ((right, corner), (corner, top)):
+        phi = 0.5 * (a0 + a1) + 0.5 * (a1 - a0) * xp
+        c, s = np.cos(phi), np.sin(phi)
+        with np.errstate(divide="ignore"):
+            r_exit = np.minimum(np.where(c > 0.0, (1.0 - center[0]) / c, np.inf),
+                                np.where(s > 0.0, (1.0 - center[1]) / s, np.inf))
+        r = r_exit[:, None] + (radius - r_exit)[:, None] * 0.5 * (xr + 1.0)
+        w = 0.5 * (a1 - a0) * wp[:, None] * (radius - r_exit)[:, None] * 0.5 * wr * r
+        ys = center + np.stack([r * c[:, None], r * s[:, None]], axis=-1).reshape(-1, 2)
+        dist = np.linalg.norm(pts[:, None, :] - ys[None, :, :], axis=-1)
+        ref += wcell @ dist ** (-(2.0 + alpha)) @ w.ravel()
+    assert got == pytest.approx(ref, rel=1e-11)
