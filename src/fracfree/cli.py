@@ -834,9 +834,14 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return 3
-    except (AssertionError, FracfreeError) as exc:
-        print(f"error: internal failure: {exc}", file=sys.stderr)
+    except (AssertionError, FracfreeError, ValueError, MemoryError) as exc:
+        # ValueError covers numpy.linalg.LinAlgError
+        print(f"error: internal failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     status = "pass" if report.passed else "FAIL"
     for name, ok in report.verdicts.items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")

@@ -35,7 +35,8 @@ class GridSpec:
     dimension:         n, 1 or 2
     half_width:        L, the box is [-L, L]^n
     cells_per_side:    m, so the cell width is h = 2L/m
-    truncation_radius: beyond this radius only analytic far fields are used
+    truncation_radius: validated (>= L), rescaled and echoed only; exterior
+                       tails run to infinity, so nothing computes with it
     domain_radius:     radius of the minimization ball (<= L)
     """
 

@@ -5,7 +5,10 @@ Gagliardo form is strictly positive definite thanks to the exterior
 tails); the phase solve flips cells of the discrete zero set while the
 perimeter strictly decreases. Alternating the two from several starts
 gives the local solver; exhaustive enumeration of all phase patterns on
-tiny grids gives the global oracle it is calibrated against.
+tiny grids gives the global oracle it is calibrated against. The oracle
+visits the patterns in Gray-code order, so each QP differs from the one
+before by a single sign and starts from its solution: the active-set
+polish alone usually finishes it, with projected gradient as fallback.
 """
 
 from __future__ import annotations
@@ -81,6 +84,17 @@ class SolveReport:
                 )
 
 
+def _kkt_from_gradient(u: np.ndarray, g: np.ndarray, signs: np.ndarray) -> float:
+    """KKT residual of the sign-constrained QP at u, given its gradient g."""
+    at_zero = u == 0.0
+    res = np.abs(np.where(at_zero, 0.0, g))
+    lower = at_zero & (signs > 0)      # u >= 0 active: need g >= 0
+    upper = at_zero & (signs < 0)      # u <= 0 active: need g <= 0
+    res = np.maximum(res, np.where(lower, np.maximum(-g, 0.0), 0.0))
+    res = np.maximum(res, np.where(upper, np.maximum(g, 0.0), 0.0))
+    return float(res.max()) if res.size else 0.0
+
+
 class GagliardoQP:
     """Dense quadratic data of the Gagliardo energy in the free values.
 
@@ -116,14 +130,7 @@ class GagliardoQP:
         return self.hess @ u_free + self.lin
 
     def kkt_residual(self, u_free: np.ndarray, signs: np.ndarray) -> float:
-        g = self.gradient(u_free)
-        at_zero = u_free == 0.0
-        res = np.abs(np.where(at_zero, 0.0, g))
-        lower = at_zero & (signs > 0)      # u >= 0 active: need g >= 0
-        upper = at_zero & (signs < 0)      # u <= 0 active: need g <= 0
-        res = np.maximum(res, np.where(lower, np.maximum(-g, 0.0), 0.0))
-        res = np.maximum(res, np.where(upper, np.maximum(g, 0.0), 0.0))
-        return float(res.max()) if res.size else 0.0
+        return _kkt_from_gradient(u_free, self.gradient(u_free), signs)
 
     def _project(self, u: np.ndarray, signs: np.ndarray) -> np.ndarray:
         u = u.copy()
@@ -134,10 +141,25 @@ class GagliardoQP:
 
     def solve(self, signs: np.ndarray, x0: np.ndarray | None = None,
               tol: float = 1e-9, max_iters: int = 5000) -> QPResult:
-        """Projected gradient with BB steps, then an active-set polish."""
+        """Projected gradient with BB steps, then an active-set polish.
+
+        With a warm start ``x0`` the polish runs first, from ``x0``
+        projected onto the signs; its result is returned when it converges
+        to a KKT residual within ``10 * tol`` (``iterations`` 0), and the
+        projected-gradient path starts from the same point otherwise.
+        """
         n = self.free.size
         signs = np.asarray(signs)
-        u = np.zeros(n) if x0 is None else self._project(np.asarray(x0, float), signs)
+        if x0 is None:
+            u = np.zeros(n)
+        else:
+            u = self._project(np.asarray(x0, float), signs)
+            warm, polished = self._polish(u, signs, tol)
+            if polished:
+                kkt = self.kkt_residual(warm, signs)
+                if kkt <= 10.0 * tol:
+                    return QPResult(values=warm, kkt_residual=kkt, iterations=0,
+                                    converged=True)
         g = self.gradient(u)
         tau = 1.0 / max(self._lip, 1e-300)
         iters = 0
@@ -153,7 +175,7 @@ class GagliardoQP:
             tau = float(du @ du) / denom if denom > 0.0 else 1.0 / self._lip
             tau = min(max(tau, 1e-6 / self._lip), 1e6 / self._lip)
             u, g = u_new, g_new
-            if self.kkt_residual(u, signs) <= tol:
+            if _kkt_from_gradient(u, g, signs) <= tol:
                 break
         u, polished = self._polish(u, signs, tol)
         kkt = self.kkt_residual(u, signs)
@@ -217,6 +239,32 @@ def _zero_threshold(params: SolverParams, u_vals: np.ndarray) -> float:
     return 1e-7 * max(1.0, scale)
 
 
+def _greedy_flips(form: PerimeterForm, e_in: np.ndarray,
+                  zero_set: np.ndarray) -> list:
+    """Flip, in place, the zero-set cell of steepest perimeter descent
+    until no flip decreases it by more than the 1e-13 relative tie
+    threshold; returns the flipped cells in order.
+
+    All flip deltas -2 e_k lin_k + e_k (W e)_k come from one matvec, kept
+    current by a rank-1 update after each flip.
+    """
+    e = e_in.astype(float)
+    w_e = form.w_oo @ e
+    flips = []
+    while True:
+        e_z = e[zero_set]
+        deltas = -2.0 * e_z * form.lin[zero_set] + e_z * w_e[zero_set]
+        k_best = int(np.argmin(deltas))
+        value = form.const + float(form.lin @ e) - 0.25 * float(e @ w_e)
+        if deltas[k_best] >= -1e-13 * max(1.0, abs(value)):
+            return flips
+        k = int(zero_set[k_best])
+        w_e -= 2.0 * e[k] * form.w_oo[:, k]
+        e[k] = -e[k]
+        e_in[k] = -e_in[k]
+        flips.append(k)
+
+
 def update_phase(u: DiscreteFunction, phases: PhaseSet, table: KernelTable,
                  params: SolverParams,
                  form: PerimeterForm | None = None) -> PhaseSet:
@@ -249,12 +297,7 @@ def update_phase(u: DiscreteFunction, phases: PhaseSet, table: KernelTable,
                 best, best_e = val, cand
         e_in = best_e
     elif zero_set.size:
-        while True:
-            deltas = np.array([form.flip_delta(e_in, int(k)) for k in zero_set])
-            k_best = int(np.argmin(deltas))
-            if deltas[k_best] >= -1e-13 * max(1.0, abs(form.value(e_in))):
-                break
-            e_in[zero_set[k_best]] = -e_in[zero_set[k_best]]
+        _greedy_flips(form, e_in, zero_set)
     ind = phases.indicator.copy()
     ind[inside] = e_in
     return phases.with_indicator(ind)
@@ -348,6 +391,10 @@ def _breakdown(u, phases, qp: GagliardoQP, form: PerimeterForm,
                            gagliardo_tail=gag_tail, perimeter_tail=per_tail)
 
 
+def _pattern_signs(bits: int, n: int) -> np.ndarray:
+    return np.where((bits >> np.arange(n)) & 1, 1, -1).astype(np.int8)
+
+
 def brute_force_minimize(grid: Grid, datum: ExteriorDatum,
                          table_gagliardo: KernelTable,
                          table_perimeter: KernelTable,
@@ -355,8 +402,11 @@ def brute_force_minimize(grid: Grid, datum: ExteriorDatum,
                          n_max: int = 12) -> SolveReport:
     """Global minimum by enumerating every phase pattern on the ball.
 
-    Runs the same inner QP for each of the 2^N patterns and returns the
-    best pair together with the full energy landscape.
+    Solves the inner QP for each of the 2^N patterns and returns the best
+    pair together with the full energy landscape, indexed by pattern (bit
+    j set: cell j positive). Patterns are visited in Gray-code order, each
+    QP warm-started from the solution of its neighbour one sign flip away;
+    ties go to the lowest pattern index.
     """
     inside = grid.in_omega
     n = int(inside.sum())
@@ -366,19 +416,20 @@ def brute_force_minimize(grid: Grid, datum: ExteriorDatum,
     _, template = sample_datum(datum, grid)
     form = PerimeterForm(template, table_perimeter)
     landscape = np.empty(1 << n)
-    best = None
+    solutions = np.empty((1 << n, n))
     kkt = 0.0
-    for bits in range(1 << n):
-        signs = np.where(
-            (bits >> np.arange(n)) & 1, 1, -1
-        ).astype(np.int8)
-        res = qp.solve(signs, tol=params.qp_tolerance, max_iters=params.qp_max_iters)
+    x0 = None
+    for i in range(1 << n):
+        bits = i ^ (i >> 1)
+        signs = _pattern_signs(bits, n)
+        res = qp.solve(signs, x0=x0, tol=params.qp_tolerance,
+                       max_iters=params.qp_max_iters)
         kkt = max(kkt, res.kkt_residual)
-        total = qp.energy(res.values) + form.value(signs)
-        landscape[bits] = total
-        if best is None or total < best[0]:
-            best = (total, res.values.copy(), signs.copy())
-    total, u_free, signs = best
+        landscape[bits] = qp.energy(res.values) + form.value(signs)
+        solutions[bits] = res.values
+        x0 = res.values
+    best = int(np.argmin(landscape))
+    u_free, signs = solutions[best], _pattern_signs(best, n)
     values = np.zeros(grid.n_cells)
     values[inside] = u_free
     u = DiscreteFunction(grid, values, datum)

@@ -190,6 +190,44 @@ def test_main_exit_code_4_on_internal_failure(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("exc", [
+    np.linalg.LinAlgError("Singular matrix"),
+    ValueError("operands could not be broadcast together"),
+    MemoryError(),
+])
+def test_main_exit_code_4_on_numerical_failure(tmp_path, monkeypatch, capsys, exc):
+    from fracfree import cli as cli_mod
+
+    def exploding(cfg, run_dir):
+        raise exc
+
+    monkeypatch.setitem(cli_mod._RUNNERS, "energy", exploding)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config(tmp_path / "runs")))
+    assert main(["energy", "--config", str(cfg_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal failure:")
+    assert type(exc).__name__ in err
+
+
+def test_main_exit_code_2_on_unwritable_output(tmp_path, monkeypatch, capsys):
+    import errno
+
+    from fracfree import cli as cli_mod
+
+    def disk_full(cfg, run_dir):
+        raise OSError(errno.ENOSPC, "No space left on device",
+                      os.path.join(run_dir, "trace.csv"))
+
+    monkeypatch.setitem(cli_mod._RUNNERS, "energy", disk_full)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config(tmp_path / "runs")))
+    assert main(["energy", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs:")
+    assert "trace.csv" in err
+
+
 def test_dyda_experiment_smoke(tmp_path):
     cfg = minimal_config(
         tmp_path,

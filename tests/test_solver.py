@@ -19,6 +19,7 @@ from fracfree.model import DiscreteFunction, FullSet, HalfspaceSet
 from fracfree.solver import (
     GagliardoQP,
     SolverParams,
+    _greedy_flips,
     alternate_minimize,
     brute_force_minimize,
     solve_u_given_phase,
@@ -232,3 +233,104 @@ def test_trace_is_nonincreasing_and_pair_admissible():
         assert b <= a + report.trace_slack
     # returned pair satisfies the admissibility invariants by construction
     assert report.pair.sign_tol <= 1e-8
+
+
+def _cold_oracle_reference(g, datum, tg, tp, params):
+    """One cold QP per pattern in binary order, first minimum wins."""
+    qp = GagliardoQP(g, datum, tg)
+    _, template = sample_datum(datum, g)
+    form = PerimeterForm(template, tp)
+    n = int(g.in_omega.sum())
+    landscape = np.empty(1 << n)
+    best = None
+    for bits in range(1 << n):
+        signs = np.where((bits >> np.arange(n)) & 1, 1, -1).astype(np.int8)
+        res = qp.solve(signs, tol=params.qp_tolerance, max_iters=params.qp_max_iters)
+        landscape[bits] = qp.energy(res.values) + form.value(signs)
+        if best is None or landscape[bits] < best[0]:
+            best = (landscape[bits], res.values, signs)
+    return landscape, best[1], best[2]
+
+
+@pytest.mark.parametrize("m, seed", [(8, 11), (10, 12)])
+def test_gray_code_oracle_matches_cold_binary_enumeration(m, seed):
+    g, tg, tp = small_setup(m=m, s=0.3, sigma=0.5)
+    datum = random_tabulated_datum(np.random.RandomState(seed), -1.0, 1.0, g)
+    report = brute_force_minimize(g, datum, tg, tp, PARAMS)
+    landscape, u_free, signs = _cold_oracle_reference(g, datum, tg, tp, PARAMS)
+    assert report.landscape.tobytes() == landscape.tobytes()
+    assert report.pair.u.values[g.in_omega].tobytes() == u_free.tobytes()
+    assert np.array_equal(report.pair.phases.indicator[g.in_omega], signs)
+
+
+def test_oracle_falls_back_to_projected_gradient_when_warm_polish_fails(monkeypatch):
+    g, tg, tp = small_setup(m=8)
+    datum = random_tabulated_datum(np.random.RandomState(13), -1.0, 1.0, g)
+    expected = brute_force_minimize(g, datum, tg, tp, PARAMS).landscape
+    solve, polish = GagliardoQP.solve, GagliardoQP._polish
+    state = {"warm": False, "failed": 0, "converged": []}
+
+    def tracked_solve(self, signs, x0=None, **kwargs):
+        state["warm"] = x0 is not None
+        res = solve(self, signs, x0=x0, **kwargs)
+        state["converged"].append(res.converged)
+        return res
+
+    def failing_warm_polish(self, u, signs, tol):
+        if state["warm"]:
+            state["warm"] = False
+            state["failed"] += 1
+            return u, False
+        return polish(self, u, signs, tol)
+
+    monkeypatch.setattr(GagliardoQP, "solve", tracked_solve)
+    monkeypatch.setattr(GagliardoQP, "_polish", failing_warm_polish)
+    landscape = brute_force_minimize(g, datum, tg, tp, PARAMS).landscape
+    assert state["failed"] == 2**8 - 1
+    assert len(state["converged"]) == 2**8 and all(state["converged"])
+    assert np.max(np.abs(landscape - expected)) <= 1e-12
+
+
+def test_warm_started_solve_matches_cold_solve_with_active_constraints():
+    g, tg, tp = small_setup(m=8)
+    datum = random_tabulated_datum(np.random.RandomState(1), -1.0, 1.0, g)
+    qp = GagliardoQP(g, datum, tg)
+    signs = np.array([1, 1, -1, 1, -1, -1, 1, -1], dtype=np.int8)
+    cold = qp.solve(signs, tol=1e-12)
+    assert np.count_nonzero(cold.values == 0.0) >= 1
+    neighbour = signs.copy()
+    neighbour[3] = -neighbour[3]
+    x0 = qp.solve(neighbour, tol=1e-12).values
+    warm = qp.solve(signs, x0=x0, tol=1e-12)
+    assert warm.iterations == 0 and warm.converged
+    assert np.max(np.abs(warm.values - cold.values)) <= 1e-12
+    assert warm.kkt_residual <= 1e-12
+
+
+def test_greedy_flips_match_per_cell_flip_delta_reference():
+    # u = 0: all 16 cells are in the zero set, more than exhaustive_cap
+    g, tg, tp = small_setup(m=16)
+    datum = halfspace_datum([1.0], 0.0)
+    _, phases = sample_datum(datum, g)
+    ind = phases.indicator.copy()
+    ind[g.in_omega] = np.random.RandomState(8).choice([-1, 1], size=16)
+    scrambled = phases.with_indicator(ind)
+    params = SolverParams(flip_strategy="greedy")
+    assert 16 > params.exhaustive_cap
+    form = PerimeterForm(scrambled, tp)
+    ref = scrambled.indicator[g.in_omega].astype(np.int8)
+    ref_flips = []
+    while True:
+        deltas = np.array([form.flip_delta(ref, k) for k in range(16)])
+        k_best = int(np.argmin(deltas))
+        if deltas[k_best] >= -1e-13 * max(1.0, abs(form.value(ref))):
+            break
+        ref[k_best] = -ref[k_best]
+        ref_flips.append(k_best)
+    assert len(ref_flips) >= 2
+    e_in = scrambled.indicator[g.in_omega].astype(np.int8)
+    assert _greedy_flips(form, e_in, np.arange(16)) == ref_flips
+    assert np.array_equal(e_in, ref)
+    u0 = DiscreteFunction(g, np.zeros(g.n_cells), datum)
+    out = update_phase(u0, scrambled, tp, params)
+    assert np.array_equal(out.indicator[g.in_omega], ref)
