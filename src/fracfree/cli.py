@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import numerics
 from .energy import frac_perimeter, gagliardo_energy, total_energy
@@ -636,6 +635,8 @@ def _run_dyda(cfg, run_dir):
 
 def _weighted_l2(u: DiscreteFunction, s: float) -> float:
     """Approximate integral of u^2 / (1 + |y|^(n+2s)) over the line."""
+    from scipy.integrate import quad
+
     g = u.grid
     if g.dimension != 1:
         raise ConfigError("energy-bound runs are 1D")

@@ -7,7 +7,12 @@ rule with exact radial integrals. Tail weights integrate a cell against an
 unbounded exterior region: closed forms in 1D; in 2D, for alpha < 1, the
 exact 1D pair weight along every line through the cell, with quadrature
 over the lines only (Santalo's line-measure identity), doubled in order
-until it meets the table's tolerance.
+until it meets the table's tolerance. A table serves two kinds of 2D term
+by identity instead: the whole plane (the closed-form perimeter of a square
+cell minus its in-box pair weights) and axis half-planes whose boundary is
+a grid line or misses the open box (a closed-form 1D marginal, or the
+perimeter minus the other side's marginal, minus in-box pair weights).
+Balls, sectors and every other half-plane stay on the line engine.
 
 For alpha >= 1 the exact integral over touching geometry diverges; a
 depth-limited regularization (the closed-form convention in 1D, dyadic
@@ -28,7 +33,6 @@ import zipfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GeometryError, IncompleteDatumError, ParameterError
 from .model import (
@@ -1037,6 +1041,94 @@ def _line_cell_tail(lo, hi, L, term, alpha, tol):
 
 
 # ---------------------------------------------------------------------------
+# 2D cell tails by identity (alpha < 1)
+#
+# A square cell C has the finite fractional perimeter Per(C), the kernel
+# over C x (R^2 \ C). The box is the union of the cells, so the tail of a
+# cell against the whole plane minus the box is Per(C) minus its in-box
+# pair weights. A half-plane H whose boundary is a grid line, or misses the
+# open box, cuts no cell: a cell outside H sees all of H with a closed-form
+# 1D marginal, a cell inside H sees Per(C) minus the marginal of the other
+# side, and in both cases the in-box part of H is pair weights again.
+
+_PERIMETER_CACHE: dict = {}
+
+
+def _cell_perimeter(h: float, alpha: float) -> float:
+    """Per(C) of an h x h cell, alpha < 1.
+
+    By the line-measure identity a chord of length w contributes
+    2 w^(1-alpha) / (alpha (1-alpha)). Integrating the square's trapezoidal
+    chord profile over the line offsets leaves, by the eight symmetries,
+    h^(2-alpha) 8 / (alpha (1-alpha)) times the integral over [0, pi/4] of
+    cos^(alpha-1) t (cos t - sin t + 2 sin t / (2 - alpha)), which is smooth.
+    """
+    if alpha not in _PERIMETER_CACHE:
+        x, w = _gauss01(24)
+        c, s = np.cos(0.25 * math.pi * x), np.sin(0.25 * math.pi * x)
+        f = c ** (alpha - 1.0) * (c - s + 2.0 * s / (2.0 - alpha))
+        _PERIMETER_CACHE[alpha] = 2.0 * math.pi * float(w @ f) / (alpha * (1.0 - alpha))
+    return h ** (2.0 - alpha) * _PERIMETER_CACHE[alpha]
+
+
+def _halfplane_marginal(d1, h, alpha):
+    """Kernel mass between an h x h cell and a half-plane whose boundary is
+    parallel to a cell face, at distances d1 (near face) and d1 + h.
+
+    Along the boundary direction the kernel integrates to
+    c |d|^-(1+alpha), c = sqrt(pi) G((1+alpha)/2) / G(1+alpha/2); the rest
+    is (d2^p - d1^p) / (alpha p), p = 1 - alpha, written so far cells keep
+    their digits.
+    """
+    c = math.sqrt(math.pi) * math.gamma(0.5 * (1.0 + alpha)) / math.gamma(1.0 + 0.5 * alpha)
+    p = 1.0 - alpha
+    out = np.full(d1.shape, h**p)
+    gap = d1 > 0.0
+    out[gap] = d1[gap] ** p * np.expm1(p * np.log1p(h / d1[gap]))
+    return c * h * out / (alpha * p)
+
+
+def _rect_sums(offsets, rows, cols):
+    """S[ix, iy] = sum of offsets[|ix - jx|, |iy - jy|] over jx in rows and
+    jy in cols (boolean masks), as two 1D passes in a fixed order."""
+    m = offsets.shape[0]
+    ax = np.arange(m)
+    didx = np.abs(ax[:, None] - ax[None, :])
+    part = np.zeros((m, m))
+    for jy in np.flatnonzero(cols):
+        part += offsets[:, didx[jy]]
+    out = np.zeros((m, m))
+    for jx in np.flatnonzero(rows):
+        out += part[didx[jx]]
+    return out
+
+
+def _identity_term_tails(grid: Grid, offsets, alpha, term):
+    """Tails of every cell against term minus the box, by the identities
+    above; None for a term they do not cover (balls, sectors, oblique
+    half-planes and axis half-planes whose boundary cuts cells)."""
+    m, h, L = grid.spec.cells_per_side, grid.h, grid.spec.half_width
+    every = np.ones(m, dtype=bool)
+    per = _cell_perimeter(h, alpha)
+    if term is None:
+        return per - _rect_sums(offsets, every, every).ravel()
+    if not isinstance(term, _HalfplaneTerm) or (term.normal[0] == 0.0) == (term.normal[1] == 0.0):
+        return None
+    axis = 0 if term.normal[1] == 0.0 else 1
+    side = math.copysign(1.0, term.normal[axis])
+    pos = term.offset / term.normal[axis]
+    if abs(pos) < L and abs(pos + L - h * round((pos + L) / h)) > 1e-12 * h:
+        return None
+    dist = side * (grid.centers[:, axis] - pos)
+    d1 = np.maximum(np.abs(dist) - 0.5 * h, 0.0)
+    d1[d1 <= 1e-12 * h] = 0.0
+    marginal = _halfplane_marginal(d1, h, alpha)
+    member = side * (grid.axis - pos) > 0.0
+    inbox = _rect_sums(offsets, *((member, every) if axis == 0 else (every, member))).ravel()
+    return np.where(dist > 0.0, per - marginal, marginal) - inbox
+
+
+# ---------------------------------------------------------------------------
 # kernel table assembly
 
 def _offsets_1d(m: int, h: float, alpha: float) -> np.ndarray:
@@ -1225,22 +1317,29 @@ class KernelTable:
         return self._tail_cache[region]
 
     def _term_tails_2d(self, box_half: float, term) -> np.ndarray:
-        """Line-integrated tails of every cell against one region term,
-        memoized per term: complementary regions share their terms."""
+        """Tails of every cell against one region term, memoized per term:
+        complementary regions share their terms. The whole plane and
+        half-planes on grid lines come from the cell-perimeter identities,
+        every other term from the line engine."""
         key = ("term", box_half, term)
         if key not in self._tail_cache:
             g = self.grid
             half = 0.5 * g.h
+            vals = None
+            if box_half == g.spec.half_width:
+                vals = _identity_term_tails(g, self.offset_weights, self.alpha, term)
+            if vals is None:
 
-            def block(idx):
-                return np.array([
-                    _line_cell_tail(g.centers[i] - half, g.centers[i] + half,
-                                    box_half, term, self.alpha, self.tol)
-                    for i in idx
-                ])
+                def block(idx):
+                    return np.array([
+                        _line_cell_tail(g.centers[i] - half, g.centers[i] + half,
+                                        box_half, term, self.alpha, self.tol)
+                        for i in idx
+                    ])
 
-            chunks = np.array_split(np.arange(g.n_cells), max(1, g.n_cells // 4))
-            self._tail_cache[key] = np.concatenate(map_blocks(block, chunks))
+                chunks = np.array_split(np.arange(g.n_cells), max(1, g.n_cells // 4))
+                vals = np.concatenate(map_blocks(block, chunks))
+            self._tail_cache[key] = vals
         return self._tail_cache[key]
 
     def _region_tails_2d_batched(self, region) -> np.ndarray:
@@ -1356,6 +1455,8 @@ class KernelTable:
                 f"profile degree {kappa} is not square-integrable against the "
                 f"exponent-{alpha} kernel tail (needs 2*degree < alpha)"
             )
+        from scipy.integrate import quad
+
         L = g.spec.half_width
         h = g.h
         gplus, gminus = func.profile

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -289,3 +291,16 @@ def test_main_seed_and_outdir_overrides(tmp_path, capsys):
     echo = json.loads((runs[0] / "config.json").read_text())
     assert echo["seed"] == 42
     capsys.readouterr()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # quad is imported where it is used, so importing the package does not
+    # pay for scipy.integrate (and the optimize and linalg modules it pulls in)
+    import fracfree
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracfree.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, fracfree; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

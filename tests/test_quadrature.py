@@ -15,6 +15,9 @@ from fracfree import (
 from fracfree.numerics import set_worker_cap
 from fracfree.quadrature import (
     Region1D,
+    _cell_perimeter,
+    _HalfplaneTerm,
+    _line_cell_tail,
     _pair_weight_polar_2d,
     _subdivided_pair_weight_1d,
     interval_region,
@@ -332,6 +335,95 @@ def test_2d_tails_match_halfplane_marginal(alpha, m):
         got, expected = _halfplane_identity(g, table, normal, offset)
         err = np.max(np.abs(got - expected) / np.abs(expected))
         assert err <= 1e-9, (normal, offset, err)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_2d_halfplane_marginal_against_line_engine(alpha):
+    # the same closed-form expectation, against the line engine cell by
+    # cell: region_tails now serves these lines from that very identity
+    for m in (2, 4):
+        g = build_grid(GridSpec(2, 1.0, m, 64.0, 1.0))
+        table = assemble_table(g, alpha)
+        h = g.h
+        for normal, offset in [((1.0, 0.0), 0.0), ((-1.0, 0.0), 0.0),
+                               ((1.0, 0.0), h), ((-1.0, 0.0), -h),
+                               ((0.0, 1.0), 0.0), ((0.0, -1.0), 0.0)]:
+            _, expected = _halfplane_identity(g, table, normal, offset)
+            pos, neg = set_exterior_regions(HalfspaceSet(normal, offset), g)
+            outside = g.centers @ np.asarray(normal) - offset < 0.0
+            got = np.array([
+                tail_weight((c - 0.5 * h, c + 0.5 * h), pos if out else neg, alpha,
+                            tol=table.tol)
+                for c, out in zip(g.centers, outside)
+            ])
+            err = np.max(np.abs(got - expected) / np.abs(expected))
+            assert err <= 1e-9, (m, normal, offset, err)
+
+
+# ---------------------------------------------------------------------------
+# 2D tails by identity: cell perimeter, whole plane, half-planes on grid lines
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_cell_perimeter_against_line_engine(alpha):
+    # the cell against its own exterior is the line engine with the box
+    # shrunk to the cell; the width 0.37 also checks the h^(2-alpha) law
+    for h in (1.0, 0.37):
+        lo, hi = np.full(2, -0.5 * h), np.full(2, 0.5 * h)
+        ref = _line_cell_tail(lo, hi, 0.5 * h, None, alpha, 1e-12)
+        assert _cell_perimeter(h, alpha) == pytest.approx(ref, rel=1e-12)
+
+
+def _line_engine_tails(g, table, term, cells):
+    h = g.h
+    return np.array([
+        _line_cell_tail(g.centers[i] - 0.5 * h, g.centers[i] + 0.5 * h,
+                        g.spec.half_width, term, table.alpha, table.tol)
+        for i in cells
+    ])
+
+
+@pytest.mark.parametrize("m, alpha", [(m, a) for m in (2, 4) for a in (0.3, 0.5, 0.8)]
+                         + [(12, 0.5)])
+def test_identity_tails_match_line_engine(m, alpha):
+    g = build_grid(GridSpec(2, 1.0, m, 64.0, 1.0))
+    table = assemble_table(g, alpha)
+    L, h = g.spec.half_width, g.h
+    # the whole plane, x > 0, x < 0, y > -L + h, and a line beyond the box
+    for term in [None, _HalfplaneTerm((1.0, 0.0), 0.0), _HalfplaneTerm((-1.0, 0.0), 0.0),
+                 _HalfplaneTerm((0.0, 1.0), -L + h), _HalfplaneTerm((1.0, 0.0), 1.5 * L)]:
+        got = table._term_tails_2d(L, term)
+        ref = _line_engine_tails(g, table, term, range(g.n_cells))
+        err = np.max(np.abs(got - ref) / np.abs(ref))
+        assert err <= table.tol, (term, err)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8])
+def test_identity_whole_plane_tails_on_the_centre_row(alpha):
+    # the centre row of a 24 x 24 grid sees almost all of Per(C) inside the
+    # box, so its whole-plane tails cancel the most digits
+    m = 24
+    g = build_grid(GridSpec(2, 1.0, m, 64.0, 1.0))
+    table = assemble_table(g, alpha)
+    row = np.arange(m) * m + m // 2
+    got = table._term_tails_2d(g.spec.half_width, None)[row]
+    ref = _line_engine_tails(g, table, None, row)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= table.tol
+
+
+@pytest.mark.parametrize("set_spec", [HalfspaceSet((1.0, 0.0), 0.25),
+                                      HalfspaceSet((1.0, 2.0), 0.3)],
+                         ids=["off-grid-line", "oblique"])
+def test_uncovered_halfplanes_take_the_line_engine(set_spec):
+    # x = h/2 cuts cells and an oblique line is off the grid: both must be
+    # the per-cell line engine, bit for bit
+    g = build_grid(GridSpec(2, 1.0, 4, 64.0, 1.0))
+    table = assemble_table(g, 0.5)
+    pos, _ = set_exterior_regions(set_spec, g)
+    got = table.region_tails(pos)
+    h = g.h
+    ref = [tail_weight((c - 0.5 * h, c + 0.5 * h), pos, 0.5, tol=table.tol)
+           for c in g.centers]
+    assert got.tolist() == ref
 
 
 def test_2d_tail_of_a_ball_outside_the_box_against_tensor_gauss():
