@@ -5,8 +5,10 @@ Usage: fracfree <experiment> --config <path> [--outdir DIR] [--threads N]
 
 Each run creates <outdir>/<experiment>-<timestamp>/ containing config.json
 (the fully defaulted echo), schema.json, summary.json and the experiment's
-CSV profiles. Exit codes: 0 success, 2 invalid config, 3 solver did not
-converge, 4 internal assertion failure.
+CSV profiles. Exit codes: 0 success; 2 invalid config, or an output that
+cannot be written (an OSError); 3 solver did not converge; 4 internal
+failure (a failed assertion, a package error, a ValueError such as
+LinAlgError, or a MemoryError). Every nonzero code prints one error: line.
 """
 
 from __future__ import annotations
@@ -55,7 +57,12 @@ from .model import (
 )
 from .operators import frac_laplacian
 from .quadrature import assemble_table
-from .solver import SolverParams, alternate_minimize, brute_force_minimize
+from .solver import (
+    SolverParams,
+    _zero_threshold,
+    alternate_minimize,
+    brute_force_minimize,
+)
 
 EXPERIMENTS = (
     "energy",
@@ -310,7 +317,7 @@ def _half_grid(cfg: ExperimentConfig, grid, **overrides):
 def _minimize(cfg: ExperimentConfig):
     g, tg, tp = _tables(cfg)
     pair0 = make_pair(*sample_datum(cfg.datum, g))
-    report = alternate_minimize(pair0, cfg.solver, tg, tp, cfg.fractional)
+    report = alternate_minimize(pair0, cfg.solver, tg, tp)
     return g, tg, tp, report
 
 
@@ -383,7 +390,7 @@ def _run_oracle(cfg, run_dir):
     n_max = int(cfg.experiment_params.get("n_max", 12))
     oracle = brute_force_minimize(g, cfg.datum, tg, tp, cfg.solver, n_max=n_max)
     pair0 = make_pair(*sample_datum(cfg.datum, g))
-    report = alternate_minimize(pair0, cfg.solver, tg, tp, cfg.fractional)
+    report = alternate_minimize(pair0, cfg.solver, tg, tp)
     e_alt = report.trace[-1].total
     e_orc = float(oracle.landscape.min())
     scalars = {
@@ -457,9 +464,7 @@ def _run_plateau(cfg, run_dir):
     g, tg, tp, report = _minimize(cfg)
     pair = report.pair
     u_in = pair.u.values[g.in_omega]
-    delta = cfg.solver.zero_threshold
-    if delta is None:
-        delta = 1e-7 * max(1.0, float(np.abs(u_in).max()))
+    delta = _zero_threshold(cfg.solver, u_in)
     zero_cells = np.flatnonzero(g.in_omega & (np.abs(pair.u.values) <= delta))
     h_n = g.h**g.dimension
     kkt_bound = max(report.qp_kkt, cfg.solver.qp_tolerance) / (2.0 * h_n)
@@ -673,7 +678,7 @@ def _run_energy_bound(cfg, run_dir):
                                 float(abs(rng.uniform(lo, hi))),
                                 HalfspaceSet((1.0,), 0.0))
         pair0 = make_pair(*sample_datum(datum, g))
-        report = alternate_minimize(pair0, cfg.solver, tg, tp, cfg.fractional)
+        report = alternate_minimize(pair0, cfg.solver, tg, tp)
         pair = report.pair
         energy = gagliardo_energy(pair.u, tg, omega_mask=eval_mask) + frac_perimeter(
             pair.phases, tp, omega_mask=eval_mask

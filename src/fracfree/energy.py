@@ -5,6 +5,13 @@ the fractional perimeter of a phase set relative to the minimization ball,
 and the Gagliardo energy of a function over all pairs meeting the ball.
 Every exterior contribution reduces to per-cell tail weights or datum
 moment triples served by the kernel table.
+
+Each energy term is one form object, GagliardoForm (a quadratic in the
+in-ball values) and PerimeterForm (a quadratic in the in-ball phase
+signs), built from the same split of the table by a cell mask. A form
+serves the expanded quadratic (the solver's fast path), its exterior tail
+term, and a compensated pair-by-pair sum of the same value, which
+gagliardo_energy, frac_perimeter and total_energy report.
 """
 
 from __future__ import annotations
@@ -69,6 +76,108 @@ def _check_exponent(table: KernelTable, expected: float, label: str) -> None:
         )
 
 
+class _MaskedForm:
+    """One energy term split by a cell mask (default: the minimization ball).
+
+    Apart from interaction, the only reader of the dense table: w_in pairs the in-mask cells,
+    w_cross pairs them with the rest of the box, and row_sums is the
+    kernel mass of each in-mask cell against the whole box. Subclasses fold
+    the rest-of-box values and the exterior tails into lin and const.
+    """
+
+    def __init__(self, field, table: KernelTable, mask: np.ndarray | None):
+        grid = field.grid
+        if table.grid is not grid:
+            raise ParameterError("table was assembled on a different grid")
+        inside = grid.in_omega if mask is None else mask
+        self.idx_in = np.flatnonzero(inside)
+        self.idx_rest = np.flatnonzero(~inside)
+        dense = table.dense_matrix()
+        self.row_sums = dense[self.idx_in].sum(axis=1)
+        self.w_in = dense[np.ix_(self.idx_in, self.idx_in)]
+        self.w_cross = dense[np.ix_(self.idx_in, self.idx_rest)]
+
+
+class GagliardoForm(_MaskedForm):
+    """The Gagliardo energy as a quadratic form in the in-mask values.
+
+    energy(x) = x H x / 2 + lin . x + const over all ordered pairs with at
+    least one cell in the mask, with the rest-of-box values of u and the
+    datum moments (T0, M1, M2) of the box exterior folded in.
+    """
+
+    def __init__(self, u: DiscreteFunction, table: KernelTable,
+                 mask: np.ndarray | None = None):
+        super().__init__(u, table, mask)
+        self.rest = u.values[self.idx_rest]
+        t0, m1, m2 = table.function_tails(u.datum.func)
+        self.t0, self.m1, self.m2 = t0[self.idx_in], m1[self.idx_in], m2[self.idx_in]
+        self.hess = -4.0 * self.w_in
+        self.hess[np.diag_indices_from(self.hess)] = 4.0 * (self.row_sums + self.t0)
+        self.lin = -4.0 * (self.w_cross @ self.rest + self.m1)
+        self.const = ordered_sum([2.0 * ordered_sum(self.w_cross * self.rest**2),
+                                  2.0 * ordered_sum(self.m2)])
+
+    def energy(self, x: np.ndarray) -> float:
+        return float(0.5 * x @ self.hess @ x + self.lin @ x + self.const)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.hess @ x + self.lin
+
+    def tail(self, x: np.ndarray) -> float:
+        """Pairs with the box exterior: 2 sum (x^2 T0 - 2 x M1 + M2)."""
+        return 2.0 * ordered_sum(x**2 * self.t0 - 2.0 * x * self.m1 + self.m2)
+
+    def pairwise(self, x: np.ndarray) -> float:
+        """energy(x) summed pair by pair with compensation, so that a
+        constant u with a constant datum gives exactly 0."""
+        inner = (x[:, None] - x[None, :]) ** 2 * self.w_in
+        cross = (x[:, None] - self.rest[None, :]) ** 2 * self.w_cross
+        both = ordered_sum(np.concatenate([inner, cross], axis=1))
+        return ordered_sum([both, ordered_sum(cross), self.tail(x)])
+
+
+class PerimeterForm(_MaskedForm):
+    """The perimeter as a quadratic form in the in-mask phase signs.
+
+    Per(e) = const + lin . e - e^T W_in e / 4, with the rest-of-box signs
+    and the symbolic exterior (T+, T-) folded into const and lin. This is
+    the fast path used by phase updates and the exhaustive oracle.
+    """
+
+    def __init__(self, phases: PhaseSet, table: KernelTable,
+                 mask: np.ndarray | None = None):
+        super().__init__(phases, table, mask)
+        self.rest = phases.indicator[self.idx_rest].astype(float)
+        tp, tn = table.set_tails(phases.datum.set_spec)
+        self.tp, self.tn = tp[self.idx_in], tn[self.idx_in]
+        self.const = (0.25 * float(self.w_in.sum()) + 0.5 * float(self.w_cross.sum())
+                      + 0.5 * float((self.tp + self.tn).sum()))
+        self.lin = -0.5 * (self.w_cross @ self.rest) + 0.5 * (self.tn - self.tp)
+
+    def value(self, e_in: np.ndarray) -> float:
+        e = e_in.astype(float)
+        return self.const + float(self.lin @ e) - 0.25 * float(e @ self.w_in @ e)
+
+    def flip_delta(self, e_in: np.ndarray, k: int) -> float:
+        """Perimeter change from flipping the sign of in-mask cell k."""
+        e = e_in.astype(float)
+        return -2.0 * e[k] * float(self.lin[k]) + e[k] * float(self.w_in[k] @ e)
+
+    def tail(self, e_in: np.ndarray) -> float:
+        """Pairs with the box exterior: the set tail opposite each sign."""
+        e = e_in.astype(float)
+        return ordered_sum(0.5 * ((1.0 + e) * self.tn + (1.0 - e) * self.tp))
+
+    def pairwise(self, e_in: np.ndarray) -> float:
+        """value(e) summed pair by pair with compensation, so that a phase
+        with no boundary gives exactly 0."""
+        e = e_in.astype(float)
+        inner = 0.25 * ordered_sum(self.w_in * (1.0 - np.outer(e, e)))
+        cross = 0.5 * ordered_sum(self.w_cross * (1.0 - np.outer(e, self.rest)))
+        return ordered_sum([inner, cross, self.tail(e)])
+
+
 def frac_perimeter(phases: PhaseSet, table: KernelTable,
                    sigma: float | None = None,
                    omega_mask: np.ndarray | None = None) -> float:
@@ -81,68 +190,20 @@ def frac_perimeter(phases: PhaseSet, table: KernelTable,
     """
     if sigma is not None:
         _check_exponent(table, sigma, "perimeter")
-    grid = phases.grid
-    if table.grid is not grid:
-        raise ParameterError("table was assembled on a different grid")
-    e = phases.indicator.astype(float)
-    inside = grid.in_omega if omega_mask is None else omega_mask
-    outside = ~inside
-    dense = table.dense_matrix()
-    w_oo = dense[np.ix_(inside.nonzero()[0], inside.nonzero()[0])]
-    w_cross = dense[np.ix_(inside.nonzero()[0], outside.nonzero()[0])]
-    e_in = e[inside]
-    e_out = e[outside]
-    tp, tn = table.set_tails(phases.datum.set_spec)
-    inner = 0.25 * ordered_sum(w_oo * (1.0 - np.outer(e_in, e_in)))
-    cross = 0.5 * ordered_sum(w_cross * (1.0 - np.outer(e_in, e_out)))
-    tail_terms = 0.5 * ((1.0 + e_in) * tn[inside] + (1.0 - e_in) * tp[inside])
-    tail = ordered_sum(tail_terms)
-    return ordered_sum([inner, cross, tail])
-
-
-def _perimeter_tail_part(phases: PhaseSet, table: KernelTable) -> float:
-    e_in = phases.indicator[phases.grid.in_omega].astype(float)
-    tp, tn = table.set_tails(phases.datum.set_spec)
-    inside = phases.grid.in_omega
-    return ordered_sum(0.5 * ((1.0 + e_in) * tn[inside] + (1.0 - e_in) * tp[inside]))
+    form = PerimeterForm(phases, table, omega_mask)
+    return form.pairwise(phases.indicator[form.idx_in])
 
 
 def gagliardo_energy(u: DiscreteFunction, table: KernelTable,
                      s: float | None = None,
                      omega_mask: np.ndarray | None = None) -> float:
     """Gagliardo energy over all ordered pairs with at least one point
-    in the minimization ball, plus exterior-datum tail terms."""
+    in the minimization ball, plus exterior-datum tail terms. omega_mask
+    overrides the ball."""
     if s is not None:
         _check_exponent(table, 2.0 * s, "gagliardo")
-    grid = u.grid
-    if table.grid is not grid:
-        raise ParameterError("table was assembled on a different grid")
-    vals = u.values
-    inside = grid.in_omega if omega_mask is None else omega_mask
-    outside = ~inside
-    dense = table.dense_matrix()
-    idx_in = inside.nonzero()[0]
-    diff_all = vals[idx_in][:, None] - vals[None, :]
-    part_a = ordered_sum(diff_all**2 * dense[idx_in, :])
-    idx_out = outside.nonzero()[0]
-    if idx_out.size:
-        diff_out = vals[idx_in][:, None] - vals[idx_out][None, :]
-        part_b = ordered_sum(diff_out**2 * dense[np.ix_(idx_in, idx_out)])
-    else:
-        part_b = 0.0
-    t0, m1, m2 = table.function_tails(u.datum.func)
-    ui = vals[idx_in]
-    tail = 2.0 * ordered_sum(
-        ui**2 * t0[idx_in] - 2.0 * ui * m1[idx_in] + m2[idx_in]
-    )
-    return ordered_sum([part_a, part_b, tail])
-
-
-def _gagliardo_tail_part(u: DiscreteFunction, table: KernelTable) -> float:
-    idx_in = u.grid.in_omega.nonzero()[0]
-    t0, m1, m2 = table.function_tails(u.datum.func)
-    ui = u.values[idx_in]
-    return 2.0 * ordered_sum(ui**2 * t0[idx_in] - 2.0 * ui * m1[idx_in] + m2[idx_in])
+    form = GagliardoForm(u, table, omega_mask)
+    return form.pairwise(u.values[form.idx_in])
 
 
 def total_energy(pair: AdmissiblePair, params: FractionalParams,
@@ -151,48 +212,13 @@ def total_energy(pair: AdmissiblePair, params: FractionalParams,
     """Full functional value of an admissible pair, with the term split."""
     _check_exponent(table_gagliardo, 2.0 * params.s, "gagliardo")
     _check_exponent(table_perimeter, params.sigma, "perimeter")
-    gag = gagliardo_energy(pair.u, table_gagliardo)
-    per = frac_perimeter(pair.phases, table_perimeter)
+    gag = GagliardoForm(pair.u, table_gagliardo)
+    per = PerimeterForm(pair.phases, table_perimeter)
+    u_in = pair.u.values[gag.idx_in]
+    e_in = pair.phases.indicator[per.idx_in]
     return EnergyBreakdown(
-        gagliardo=gag,
-        perimeter=per,
-        gagliardo_tail=_gagliardo_tail_part(pair.u, table_gagliardo),
-        perimeter_tail=_perimeter_tail_part(pair.phases, table_perimeter),
+        gagliardo=gag.pairwise(u_in),
+        perimeter=per.pairwise(e_in),
+        gagliardo_tail=gag.tail(u_in),
+        perimeter_tail=per.tail(e_in),
     )
-
-
-class PerimeterForm:
-    """The perimeter as a quadratic form in the in-ball phase signs.
-
-    Per(e) = const + lin . e - e^T W_oo e / 4, with the outside-ball signs
-    and the symbolic exterior folded into const and lin. This is the fast
-    path used by phase updates and the exhaustive oracle.
-    """
-
-    def __init__(self, phases: PhaseSet, table: KernelTable):
-        grid = phases.grid
-        inside = grid.in_omega
-        outside = ~inside
-        dense = table.dense_matrix()
-        idx_in = inside.nonzero()[0]
-        idx_out = outside.nonzero()[0]
-        self.w_oo = dense[np.ix_(idx_in, idx_in)]
-        w_cross = dense[np.ix_(idx_in, idx_out)]
-        e_out = phases.indicator[idx_out].astype(float)
-        tp, tn = table.set_tails(phases.datum.set_spec)
-        s_oo = float(self.w_oo.sum())
-        s_cross = float(w_cross.sum())
-        self.const = 0.25 * s_oo + 0.5 * s_cross + 0.5 * float(
-            (tp[idx_in] + tn[idx_in]).sum()
-        )
-        self.lin = -0.5 * (w_cross @ e_out) + 0.5 * (tn[idx_in] - tp[idx_in])
-        self.idx_in = idx_in
-
-    def value(self, e_in: np.ndarray) -> float:
-        e = e_in.astype(float)
-        return self.const + float(self.lin @ e) - 0.25 * float(e @ self.w_oo @ e)
-
-    def flip_delta(self, e_in: np.ndarray, k: int) -> float:
-        """Perimeter change from flipping the sign of in-ball cell k."""
-        e = e_in.astype(float)
-        return -2.0 * e[k] * float(self.lin[k]) + e[k] * float(self.w_oo[k] @ e)

@@ -164,19 +164,6 @@ class ExtendedField:
             self._grad2 = total
         return self._grad2
 
-    def node_radii_squared(self) -> np.ndarray:
-        """|X|^2 on the z > 0 nodes, shaped like gradient_squared()."""
-        hg = self.half_grid
-        ax = hg.padded_axis
-        z = hg.z_array()
-        if self.values.ndim == 2:
-            return ax[None, :] ** 2 + z[:, None] ** 2
-        return (
-            ax[None, :, None] ** 2
-            + ax[None, None, :] ** 2
-            + z[:, None, None] ** 2
-        )
-
 
 # ---------------------------------------------------------------------------
 # 1D extension
@@ -261,7 +248,7 @@ def _extend_1d(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
 # ---------------------------------------------------------------------------
 # 2D extension
 
-def _total_set_mass_2d(pts, z: float, set_spec, lp: float, beta: float, tol: float):
+def _total_set_mass_2d(pts, z: float, set_spec, beta: float):
     """Kernel mass of the positive phase over the whole plane.
 
     Exact for halfplanes (1D marginal) and full/empty sets; balls and
@@ -322,7 +309,7 @@ def _normalized_rows(pts, z: float, num, den, pos_in, set_spec, v_plus: float,
     are its complement against the in-lattice attribution and the row
     mass is exactly one; otherwise both come from angular quadrature.
     """
-    total_pos = _total_set_mass_2d(pts, z, set_spec, lp, beta, tol)
+    total_pos = _total_set_mass_2d(pts, z, set_spec, beta)
     if total_pos is not None:
         far_pos = total_pos - pos_in
         far_neg = (1.0 - total_pos) - (den - pos_in)

@@ -118,19 +118,6 @@ class Grid:
     def dimension(self) -> int:
         return self.spec.dimension
 
-    def cell_bounds(self, idx: int):
-        """Lower/upper corners of cell ``idx``."""
-        c = self.centers[idx]
-        return c - 0.5 * self.h, c + 0.5 * self.h
-
-    def multi_index(self, idx: int):
-        m = self.spec.cells_per_side
-        return np.unravel_index(idx, (m,) * self.dimension)
-
-    def flat_index(self, multi) -> int:
-        m = self.spec.cells_per_side
-        return int(np.ravel_multi_index(multi, (m,) * self.dimension))
-
 
 def build_grid(spec: GridSpec) -> Grid:
     """Realize a GridSpec; the cells tile [-L, L]^n exactly."""

@@ -73,12 +73,6 @@ class ResidualField:
             return float("nan")
         return float(np.max(np.abs(self.values[self.mask])))
 
-    @property
-    def l2_masked(self) -> float:
-        if not self.mask.any():
-            return float("nan")
-        return float(np.sqrt(np.sum(self.values[self.mask] ** 2)))
-
 
 def harmonicity_residual(pair: AdmissiblePair, table: KernelTable,
                          delta: float | None = None) -> ResidualField:

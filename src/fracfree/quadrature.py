@@ -434,10 +434,6 @@ class Region2D:
         return len(self.terms) == 0
 
 
-def empty_region(n: int):
-    return Region1D(()) if n == 1 else Region2D(0.0, ())
-
-
 def interval_region(a: float, b: float) -> Region1D:
     return Region1D(((float(a), float(b)),))
 

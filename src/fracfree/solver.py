@@ -1,14 +1,16 @@
 """Minimization of the coupled functional over admissible pairs.
 
-The function solve is a sign-constrained convex quadratic program (the
-Gagliardo form is strictly positive definite thanks to the exterior
-tails); the phase solve flips cells of the discrete zero set while the
-perimeter strictly decreases. Alternating the two from several starts
-gives the local solver; exhaustive enumeration of all phase patterns on
-tiny grids gives the global oracle it is calibrated against. The oracle
-visits the patterns in Gray-code order, so each QP differs from the one
-before by a single sign and starts from its solution: the active-set
-polish alone usually finishes it, with projected gradient as fallback.
+The function solve is a sign-constrained convex quadratic program on
+energy.GagliardoForm (strictly positive definite thanks to the exterior
+tails); the phase solve, on energy.PerimeterForm, flips cells of the
+discrete zero set while the perimeter strictly decreases. Trace entries
+take every term and tail from those two forms. Alternating the two from
+several starts gives the local solver; exhaustive enumeration of all
+phase patterns on tiny grids gives the global oracle it is calibrated
+against. The oracle visits the patterns in Gray-code order, so each QP
+differs from the one before by a single sign and starts from its
+solution: the active-set polish alone usually finishes it, with
+projected gradient as fallback.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyBreakdown, PerimeterForm, gagliardo_energy
+from .energy import EnergyBreakdown, GagliardoForm, PerimeterForm
 from .errors import NonConvergenceError, TooLargeError
 from .model import (
     AdmissiblePair,
     DiscreteFunction,
     ExteriorDatum,
-    FractionalParams,
     Grid,
     PhaseSet,
     sample_datum,
@@ -95,39 +96,14 @@ def _kkt_from_gradient(u: np.ndarray, g: np.ndarray, signs: np.ndarray) -> float
     return float(res.max()) if res.size else 0.0
 
 
-class GagliardoQP:
-    """Dense quadratic data of the Gagliardo energy in the free values.
-
-    energy(u) = u H u / 2 + b.u + c0 over the ball cells, everything else
-    folded in; the sign pattern only changes the feasible box.
-    """
+class GagliardoQP(GagliardoForm):
+    """The Gagliardo form over the ball, with the datum outside it, and its
+    sign-constrained minimization; the sign pattern only changes the
+    feasible box."""
 
     def __init__(self, grid: Grid, datum: ExteriorDatum, table: KernelTable):
-        self.grid = grid
-        self.free = np.flatnonzero(grid.in_omega)
-        fixed = np.flatnonzero(~grid.in_omega)
-        dense = table.dense_matrix()
-        w_ff = dense[np.ix_(self.free, self.free)]
-        w_fx = dense[np.ix_(self.free, fixed)]
-        t0, m1, _ = table.function_tails(datum.func, need_m2=False)
-        d_vals = datum.func.evaluate(grid.centers[fixed]) if fixed.size else np.zeros(0)
-        diag = dense[self.free, :].sum(axis=1) + t0[self.free]
-        self.hess = -4.0 * w_ff
-        self.hess[np.diag_indices_from(self.hess)] = 4.0 * diag
-        self.lin = -4.0 * (w_fx @ d_vals + m1[self.free])
-        zero_vals = np.zeros(grid.n_cells)
-        zero_vals[fixed] = d_vals
-        base = DiscreteFunction(grid, zero_vals, datum)
-        self.const = gagliardo_energy(base, table)
-        self.table = table
-        self.datum = datum
+        super().__init__(DiscreteFunction(grid, np.zeros(grid.n_cells), datum), table)
         self._lip = float(np.linalg.norm(self.hess, np.inf))
-
-    def energy(self, u_free: np.ndarray) -> float:
-        return float(0.5 * u_free @ self.hess @ u_free + self.lin @ u_free + self.const)
-
-    def gradient(self, u_free: np.ndarray) -> np.ndarray:
-        return self.hess @ u_free + self.lin
 
     def kkt_residual(self, u_free: np.ndarray, signs: np.ndarray) -> float:
         return _kkt_from_gradient(u_free, self.gradient(u_free), signs)
@@ -148,7 +124,7 @@ class GagliardoQP:
         to a KKT residual within ``10 * tol`` (``iterations`` 0), and the
         projected-gradient path starts from the same point otherwise.
         """
-        n = self.free.size
+        n = self.idx_in.size
         signs = np.asarray(signs)
         if x0 is None:
             u = np.zeros(n)
@@ -184,7 +160,7 @@ class GagliardoQP:
 
     def _polish(self, u: np.ndarray, signs: np.ndarray, tol: float):
         """Primal active-set refinement to machine-accurate KKT."""
-        n = self.free.size
+        n = self.idx_in.size
         active = u == 0.0
         for _ in range(2 * n + 20):
             inactive = ~active
@@ -249,7 +225,7 @@ def _greedy_flips(form: PerimeterForm, e_in: np.ndarray,
     current by a rank-1 update after each flip.
     """
     e = e_in.astype(float)
-    w_e = form.w_oo @ e
+    w_e = form.w_in @ e
     flips = []
     while True:
         e_z = e[zero_set]
@@ -259,7 +235,7 @@ def _greedy_flips(form: PerimeterForm, e_in: np.ndarray,
         if deltas[k_best] >= -1e-13 * max(1.0, abs(value)):
             return flips
         k = int(zero_set[k_best])
-        w_e -= 2.0 * e[k] * form.w_oo[:, k]
+        w_e -= 2.0 * e[k] * form.w_in[:, k]
         e[k] = -e[k]
         e_in[k] = -e_in[k]
         flips.append(k)
@@ -322,8 +298,7 @@ def _start_phases(init: AdmissiblePair, qp: GagliardoQP, params: SolverParams):
 
 def alternate_minimize(init: AdmissiblePair, params: SolverParams,
                        table_gagliardo: KernelTable,
-                       table_perimeter: KernelTable,
-                       fractional: FractionalParams | None = None) -> SolveReport:
+                       table_perimeter: KernelTable) -> SolveReport:
     """Alternate the function solve and the phase solve from every start;
     return the best final pair with its (nonincreasing) energy trace."""
     grid = init.grid
@@ -342,7 +317,7 @@ def alternate_minimize(init: AdmissiblePair, params: SolverParams,
         u, qp_res = solve_u_given_phase(phases, datum, table_gagliardo, params, qp=qp)
         kkt = qp_res.kkt_residual
         total = qp.energy(qp_res.values) + form.value(phases.indicator[inside])
-        trace.append(_breakdown(u, phases, qp, form, table_gagliardo))
+        trace.append(_breakdown(u, phases, qp, form))
         termination = "max_iters"
         outer = 0
         for outer in range(1, params.max_outer_iters + 1):
@@ -357,7 +332,7 @@ def alternate_minimize(init: AdmissiblePair, params: SolverParams,
             )
             kkt = max(kkt, qp_res.kkt_residual)
             new_total = qp.energy(qp_res.values) + form.value(phases.indicator[inside])
-            trace.append(_breakdown(u, phases, qp, form, table_gagliardo))
+            trace.append(_breakdown(u, phases, qp, form))
             if total - new_total <= params.energy_stall_tolerance:
                 total = min(total, new_total)
                 termination = "stalled"
@@ -374,21 +349,11 @@ def alternate_minimize(init: AdmissiblePair, params: SolverParams,
                        start_energies=start_energies, trace_slack=slack)
 
 
-def _breakdown(u, phases, qp: GagliardoQP, form: PerimeterForm,
-               table_g: KernelTable) -> EnergyBreakdown:
-    inside = u.grid.in_omega
-    gag = qp.energy(u.values[inside])
-    per = form.value(phases.indicator[inside])
-    t0, m1, m2 = table_g.function_tails(u.datum.func)
-    ui = u.values[inside]
-    gag_tail = float(
-        2.0 * np.sum(ui**2 * t0[inside] - 2.0 * ui * m1[inside] + m2[inside])
-    )
-    tp, tn = table_g.set_tails(phases.datum.set_spec)  # diagnostics only
-    e_in = phases.indicator[inside].astype(float)
-    per_tail = float(0.5 * np.sum((1.0 + e_in) * tn[inside] + (1.0 - e_in) * tp[inside]))
-    return EnergyBreakdown(gagliardo=gag, perimeter=per,
-                           gagliardo_tail=gag_tail, perimeter_tail=per_tail)
+def _breakdown(u, phases, qp: GagliardoQP, form: PerimeterForm) -> EnergyBreakdown:
+    u_in = u.values[qp.idx_in]
+    e_in = phases.indicator[form.idx_in]
+    return EnergyBreakdown(qp.energy(u_in), form.value(e_in), qp.tail(u_in),
+                           form.tail(e_in))
 
 
 def _pattern_signs(bits: int, n: int) -> np.ndarray:
@@ -437,6 +402,6 @@ def brute_force_minimize(grid: Grid, datum: ExteriorDatum,
     ind[inside] = signs
     phases = template.with_indicator(ind)
     pair = AdmissiblePair(u, phases)
-    trace = [_breakdown(u, phases, qp, form, table_gagliardo)]
+    trace = [_breakdown(u, phases, qp, form)]
     return SolveReport(pair=pair, trace=trace, termination="exhaustive",
                        outer_iterations=1, qp_kkt=kkt, landscape=landscape)

@@ -15,6 +15,7 @@ from fracfree import (
     make_pair,
     rescale_pair,
     sample_datum,
+    tabulated_datum,
 )
 from fracfree.energy import (
     CellSelection,
@@ -24,7 +25,7 @@ from fracfree.energy import (
     interaction,
     total_energy,
 )
-from fracfree.model import DiscreteFunction, FullSet, PhaseSet
+from fracfree.model import DiscreteFunction, FullSet, HalfspaceSet, PhaseSet
 
 SQRT2 = math.sqrt(2.0)
 
@@ -200,3 +201,38 @@ def test_perimeter_form_matches_direct_evaluation(setup_1d):
         e2 = e_in.copy()
         e2[k] = -e2[k]
         assert form.value(e2) - form.value(e_in) == pytest.approx(delta, abs=1e-9)
+
+
+def test_masked_energies_match_explicit_pair_loops(setup_1d):
+    g, table = setup_1d
+    rng = np.random.RandomState(5)
+    edges = tuple(2.0 * 2.0**k for k in range(7))
+    datum = tabulated_datum(edges, tuple(rng.uniform(0.1, 1.0, 6)),
+                            tuple(-rng.uniform(0.1, 1.0, 6)), 0.5,
+                            HalfspaceSet((1.0,), 0.0))
+    u0, phases0 = sample_datum(datum, g)
+    x = g.centers[:, 0]
+    mask = np.abs(x) < 0.5                       # 4 of the 8 ball cells
+    ind = phases0.indicator.copy()
+    ind[g.in_omega] = rng.choice([-1, 1], size=int(g.in_omega.sum()))
+    phases = PhaseSet(g, ind, datum)
+    vals = u0.values.copy()
+    vals[g.in_omega] = ind[g.in_omega] * rng.uniform(0.0, 1.0, int(g.in_omega.sum()))
+    u = DiscreteFunction(g, vals, datum)
+    v, e = u.values, phases.indicator
+    t0, m1, m2 = table.function_tails(datum.func)
+    tp, tn = table.set_tails(datum.set_spec)
+    gag, per = 0.0, 0.0
+    for i in range(g.n_cells):
+        for j in range(g.n_cells):
+            if i != j and (mask[i] or mask[j]):
+                w = table.pair_weight(i, j)
+                gag += (v[i] - v[j]) ** 2 * w
+                per += 0.5 * w * (e[i] != e[j])
+    for i in np.flatnonzero(mask):
+        gag += 2.0 * (v[i] ** 2 * t0[i] - 2.0 * v[i] * m1[i] + m2[i])
+        per += tn[i] if e[i] > 0 else tp[i]
+    assert gagliardo_energy(u, table, omega_mask=mask) == pytest.approx(gag, rel=1e-12)
+    assert frac_perimeter(phases, table, omega_mask=mask) == pytest.approx(per, rel=1e-12)
+    # the mask really restricts: the ball value differs
+    assert gagliardo_energy(u, table) != pytest.approx(gag, rel=1e-3)

@@ -334,3 +334,30 @@ def test_greedy_flips_match_per_cell_flip_delta_reference():
     u0 = DiscreteFunction(g, np.zeros(g.n_cells), datum)
     out = update_phase(u0, scrambled, tp, params)
     assert np.array_equal(out.indicator[g.in_omega], ref)
+
+
+def test_trace_entries_equal_total_energy_of_their_pairs(monkeypatch):
+    # 2s = 0.6 != sigma = 0.5: a term or tail read from the other table shows
+    from fracfree import solver as solver_mod
+
+    g, tg, tp = small_setup(m=10, s=0.3, sigma=0.5)
+    params = FractionalParams(0.3, 0.5)
+    datum = halfspace_datum([1.0], 0.0)
+    seen = []
+    breakdown = solver_mod._breakdown
+
+    def recording(u, phases, *args):
+        entry = breakdown(u, phases, *args)
+        seen.append((u, phases, entry))
+        return entry
+
+    monkeypatch.setattr(solver_mod, "_breakdown", recording)
+    alternate = alternate_minimize(make_pair(*sample_datum(datum, g)), PARAMS, tg, tp)
+    oracle = brute_force_minimize(g, datum, tg, tp, PARAMS)
+    recorded = {id(entry) for _, _, entry in seen}
+    assert all(id(b) in recorded for b in alternate.trace + oracle.trace)
+    for u, phases, entry in seen:
+        honest = total_energy(make_pair(u, phases), params, tg, tp)
+        for name in ("gagliardo", "perimeter", "gagliardo_tail", "perimeter_tail"):
+            assert getattr(entry, name) == pytest.approx(getattr(honest, name),
+                                                         rel=1e-12), name
