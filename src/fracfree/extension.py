@@ -7,6 +7,10 @@ unit mass, so constants extend exactly and no dimensional constant is
 carried. In 2D the rows at lattice nodes are FFT convolutions (the
 midpoint kernel depends only on the index offset) and rows at off-lattice
 nodes are direct sums; both share one far-field step and are unit-mass.
+That step is exact for half-planes and full sets; for balls and sectors
+each region term's mass beyond the padded box comes from the split-arc
+point rule of ``quadrature`` (exact radial mass per ray, Gauss-Legendre
+in the direction, order doubled until FAR_MASS_TOL is met).
 On top of the extensions live the weighted Dirichlet energy over
 half-balls, the radial monotonicity profile (Weiss-type functional), and
 the translation-defect probe for homogeneous pairs.
@@ -15,7 +19,6 @@ the translation-defect probe for homogeneous pairs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +46,11 @@ from .model import (
     TabulatedF,
 )
 from .numerics import ordered_sum, smoothstep_quintic
-from .quadrature import (
-    Region2D,
-    _complement_terms,
-    _set_regions_1d,
-    _set_terms_2d,
-    angular_region_integral,
-)
+from .quadrature import _point_term_mass, _set_regions_1d, _set_terms_2d
 
 STRETCH_RATIO = 1.10       # geometric sampling of unbounded smooth data
 FAR_FACTOR = 1.0e5         # sampling reach in units of the top level
+FAR_MASS_TOL = 1e-8        # relative tolerance of the 2D Poisson far masses
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +250,7 @@ def _total_set_mass_2d(pts, z: float, set_spec, beta: float):
     """Kernel mass of the positive phase over the whole plane.
 
     Exact for halfplanes (1D marginal) and full/empty sets; balls and
-    sectors are assembled from the far region by angular quadrature plus
+    sectors are assembled from the far region by the point rule plus
     the in-lattice midpoint attribution handled by the caller (value None
     signals that slow path).
     """
@@ -266,40 +264,30 @@ def _total_set_mass_2d(pts, z: float, set_spec, beta: float):
     return None
 
 
-def _poisson_region_masses(pts, z: float, set_spec, lp: float, beta: float, tol: float):
+def _poisson_region_masses(pts, z: float, set_spec, lp: float, beta: float):
     """(mass of E0 minus boxpad, mass of E0^c minus boxpad) from each point,
-    by angular quadrature with the exact radial kernel integral. Points
-    whose angular rule stops at its cap are reported in one warning."""
-    pos_terms = tuple(_set_terms_2d(set_spec))
-    regions = (
-        Region2D(lp, pos_terms),
-        Region2D(lp, _complement_terms(pos_terms)),
-    )
+    by the point rule with the exact radial kernel integral. Each term of
+    E0 is integrated once; E0^c is the whole plane minus those terms."""
+    terms = _set_terms_2d(set_spec)
 
     def cdf(t):
         return z**beta * (t * t + z * z) ** (-0.5 * beta) / (2.0 * math.pi)
 
-    out = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for reg in regions:
-            vals = np.empty(pts.shape[0])
-            for i in range(pts.shape[0]):
-                vals[i] = angular_region_integral(pts[i], reg, cdf, tol=tol)
-            out.append(vals)
-    capped = [w for w in caught if "angular quadrature stopped" in str(w.message)]
-    for w in caught:
-        if w not in capped:
-            warnings.warn(w.message, w.category, stacklevel=2)
-    if capped:
-        warnings.warn(f"{len(capped)} of {2 * pts.shape[0]} Poisson far masses at "
-                      f"z={z:.3g} hit the angular cap, e.g. {capped[0].message}",
-                      RuntimeWarning, stacklevel=2)
-    return out
+    one = np.ones(1)
+    masses = {}
+    for term in [None] + [term for _, term in terms]:
+        if term not in masses:
+            masses[term] = np.array([
+                _point_term_mass(p[None, :], one, lp, term, cdf, FAR_MASS_TOL) for p in pts
+            ])
+    far_pos = np.zeros(pts.shape[0])
+    for coef, term in terms:
+        far_pos = far_pos + coef * masses[term]
+    return far_pos, masses[None] - far_pos
 
 
 def _normalized_rows(pts, z: float, num, den, pos_in, set_spec, v_plus: float,
-                     v_minus: float, lp: float, beta: float, tol: float):
+                     v_minus: float, lp: float, beta: float):
     """Add the far field to in-lattice row sums and normalize to unit mass.
 
     num, den and pos_in are the in-lattice kernel sums against the trace,
@@ -307,14 +295,14 @@ def _normalized_rows(pts, z: float, num, den, pos_in, set_spec, v_plus: float,
     is v_plus on the positive phase and v_minus on the rest. When the
     total positive-phase mass is exact (halfplane/full), the far masses
     are its complement against the in-lattice attribution and the row
-    mass is exactly one; otherwise both come from angular quadrature.
+    mass is exactly one; otherwise both come from the point rule.
     """
     total_pos = _total_set_mass_2d(pts, z, set_spec, beta)
     if total_pos is not None:
         far_pos = total_pos - pos_in
         far_neg = (1.0 - total_pos) - (den - pos_in)
     else:
-        far_pos, far_neg = _poisson_region_masses(pts, z, set_spec, lp, beta, tol)
+        far_pos, far_neg = _poisson_region_masses(pts, z, set_spec, lp, beta)
     num = num + v_plus * far_pos + v_minus * far_neg
     den = den + far_pos + far_neg
     return num / den
@@ -334,7 +322,7 @@ def _lattice_points(hg: HalfGrid) -> np.ndarray:
 
 
 def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, set_spec, v_plus: float,
-                 v_minus: float, beta: float, tol: float = 1e-8):
+                 v_minus: float, beta: float):
     """Evaluator: row(points, z) of the 2D extension at arbitrary points.
 
     Direct midpoint sums over the lattice plus the far field of
@@ -364,13 +352,13 @@ def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, set_spec, v_plus: float,
             den[sl] = kern.sum(axis=1)
             pos_in[sl] = kern @ pos_flat
         return _normalized_rows(pts, z, num, den, pos_in, set_spec, v_plus,
-                                v_minus, lp, beta, tol)
+                                v_minus, lp, beta)
 
     return row
 
 
 def _extend_2d(hg: HalfGrid, trace_vals: np.ndarray, set_spec, v_plus: float,
-               v_minus: float, beta: float, tol: float = 1e-8):
+               v_minus: float, beta: float):
     """All lattice rows, level by level, as FFT convolutions.
 
     On the lattice the midpoint weight depends only on the index offset,
@@ -400,7 +388,7 @@ def _extend_2d(hg: HalfGrid, trace_vals: np.ndarray, set_spec, v_plus: float,
         num, den, pos_in = (part.ravel() for part in sums)
         out[k + 1] = _normalized_rows(
             pts, z, num, den, pos_in, set_spec, v_plus, v_minus,
-            hg.padded_half_width, beta, tol,
+            hg.padded_half_width, beta,
         ).reshape(nx, nx)
     return out
 

@@ -6,19 +6,26 @@ variable: separated pairs take tensor Gauss, touching pairs an angular
 rule with exact radial integrals. Tail weights integrate a cell against an
 unbounded exterior region: closed forms in 1D; in 2D, for alpha < 1, the
 exact 1D pair weight along every line through the cell, with quadrature
-over the lines only (Santalo's line-measure identity), doubled in order
-until it meets the table's tolerance. A table serves two kinds of 2D term
-by identity instead: the whole plane (the closed-form perimeter of a square
-cell minus its in-box pair weights) and axis half-planes whose boundary is
-a grid line or misses the open box (a closed-form 1D marginal, or the
-perimeter minus the other side's marginal, minus in-box pair weights).
-Balls, sectors and every other half-plane stay on the line engine.
+over the lines only (Santalo's line-measure identity). A table serves two
+kinds of 2D term by identity instead: the whole plane (the closed-form
+perimeter of a square cell minus its in-box pair weights) and axis
+half-planes whose boundary is a grid line or misses the open box (a
+closed-form 1D marginal, or the perimeter minus the other side's marginal,
+minus in-box pair weights). Balls, sectors and every other half-plane stay
+on the line engine.
 
-For alpha >= 1 the exact integral over touching geometry diverges; a
-depth-limited regularization (the closed-form convention in 1D, dyadic
-subdivision with midpoint leaves and an angular-radial rule in 2D) is then
-shared by every energy term, so identities between terms still hold
-cell-by-cell.
+Every 2D point integral (a radially symmetric density seen from a point
+inside the box, against one region term beyond it) takes one rule: the
+exact radial mass along each ray, with Gauss-Legendre in the direction on
+arcs split at the line engine's feature directions. Both engines double
+the order arc by arc until the result meets its tolerance, and warn if
+the order cap stops them first.
+
+For alpha >= 1 the exact integral over touching geometry diverges and
+fixed conventions replace it: the closed-form convention in 1D; in 2D the
+midpoint value for touching pairs, and for tails a dyadic subdivision of
+the cell toward the box boundary whose midpoint leaves each take the
+point rule.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import os
 import tempfile
 import warnings
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,8 +56,7 @@ from .model import (
 from .numerics import map_blocks, ordered_sum
 
 CACHE_VERSION = 2
-NEAR_FACTOR = 2.0          # pairs closer than this many diameters get subdivided
-MID_FACTOR = 6.0           # pairs out to this range get two extra split levels
+NEAR_FACTOR = 2.0          # subdivide cells nearer the box boundary than this many diameters
 DEPTH_1D = 12
 DEPTH_2D = 6
 
@@ -128,55 +134,13 @@ def _consistent_touch_1d(h: float, alpha: float) -> float:
     return h ** (1.0 - alpha) * c
 
 
-def _touch_children_2d(kind):
-    """Child sub-pairs of a unit touching pair, classified by contact type.
-
-    kind 'edge' is the pattern [0,1]^2 vs [1,2]x[0,1]; 'corner' is
-    [0,1]^2 vs [1,2]^2. Returns (separated offsets, edge count, corner
-    count) where offsets are (delta, widths) of half-scale sub-pairs.
-    """
-    lo_b0 = np.array([1.0, 0.0]) if kind == "edge" else np.array([1.0, 1.0])
-    separated = []
-    n_edge = n_corner = 0
-    for oa in np.ndindex(2, 2):
-        for ob in np.ndindex(2, 2):
-            la = 0.5 * np.asarray(oa, dtype=float)
-            lb = lo_b0 + 0.5 * np.asarray(ob, dtype=float)
-            gaps = np.maximum(la - (lb + 0.5), lb - (la + 0.5))
-            if (gaps > 0.0).any():
-                separated.append((la + 0.25) - (lb + 0.25))
-            elif np.count_nonzero(gaps == 0.0) == 1:
-                n_edge += 1
-            else:
-                n_corner += 1
-    return separated, n_edge, n_corner
-
-
-def _regularized_touch_2d(kind: str, h: float, alpha: float, depth: int) -> float:
-    """Touching 2D pair weight by self-similar recursion to a fixed depth.
-
-    Separated children are exact (tent-Gauss); the touching children are
-    half-scale copies of the two unit patterns, so one linear recurrence
-    replaces the exponential tree. Leaves are midpoint values.
-    """
-    half = np.array([0.5, 0.5])
-    sums = {}
-    for kind_k in ("edge", "corner"):
-        separated, _, _ = _touch_children_2d(kind_k)
-        sums[kind_k] = ordered_sum(
-            [_pair_weight_gauss_2d(delta, half, half, alpha, 12) for delta in separated]
-        )
-    scale = 0.5 ** (2.0 - alpha)
-    e_val = 1.0 ** (-(2.0 + alpha))          # midpoint of the unit edge pattern
-    c_val = math.sqrt(2.0) ** (-(2.0 + alpha))
-    _, e_ne, e_nc = _touch_children_2d("edge")
-    _, c_ne, c_nc = _touch_children_2d("corner")
-    for _ in range(depth):
-        e_next = sums["edge"] + scale * (e_ne * e_val + e_nc * c_val)
-        c_next = sums["corner"] + scale * (c_ne * e_val + c_nc * c_val)
-        e_val, c_val = e_next, c_next
-    unit = e_val if kind == "edge" else c_val
-    return h ** (2.0 - alpha) * unit
+def _midpoint_touch_2d(kind: str, h: float, alpha: float) -> float:
+    """Convention for the divergent touching 2D weight at alpha >= 1: the
+    midpoint value of the equal-cell pair, h^(2-alpha) times the kernel at
+    the centre offset (1 for an edge, sqrt 2 for a corner)."""
+    if kind == "edge":
+        return h ** (2.0 - alpha)
+    return h ** (2.0 - alpha) * math.sqrt(2.0) ** (-(2.0 + alpha))
 
 
 def _normalize_cell(cell):
@@ -343,8 +307,9 @@ def cell_pair_weight(cell_a, cell_b, alpha: float, tol: float = 1e-9) -> float:
     """Kernel weight of a cell pair; cells given as (lower, upper) corners.
 
     Identical cells use the same-cell convention (weight 0). Overlapping
-    distinct cells are a geometry error. Touching pairs with alpha >= 1 are
-    depth-limited regularizations of a divergent integral.
+    distinct cells are a geometry error. Touching pairs with alpha >= 1 take
+    a convention in place of the divergent integral: the closed form of
+    _consistent_touch_1d in 1D, the midpoint value in 2D.
     """
     _check_alpha(alpha)
     lo_a, hi_a = _normalize_cell(cell_a)
@@ -376,9 +341,9 @@ def cell_pair_weight(cell_a, cell_b, alpha: float, tol: float = 1e-9) -> float:
             square = np.allclose(wa, h) and np.allclose(wb, h)
             adelta = np.sort(np.abs(delta))
             if square and np.allclose(adelta, [0.0, h]):
-                return _regularized_touch_2d("edge", h, alpha, 0)
+                return _midpoint_touch_2d("edge", h, alpha)
             if square and np.allclose(adelta, [h, h]):
-                return _regularized_touch_2d("corner", h, alpha, 0)
+                return _midpoint_touch_2d("corner", h, alpha)
             raise ParameterError(
                 "touching pairs with alpha >= 1 are regularized for equal "
                 "grid-aligned cells only"
@@ -517,123 +482,6 @@ def set_exterior_regions(set_spec, grid: Grid):
     return Region2D(L, pos), Region2D(L, _complement_terms(pos))
 
 
-# ---------------------------------------------------------------------------
-# 2D angular quadrature with exact radial integrals
-
-def _box_exit(px, py, dx, dy, L):
-    with np.errstate(divide="ignore"):
-        tx = np.where(dx > 0.0, (L - px) / dx, np.where(dx < 0.0, (-L - px) / dx, np.inf))
-        ty = np.where(dy > 0.0, (L - py) / dy, np.where(dy < 0.0, (-L - py) / dy, np.inf))
-    return np.minimum(tx, ty)
-
-
-def _term_interval(p, dx, dy, t_exit, term):
-    """Radial interval of {p + t d : t > t_exit} inside one primitive.
-
-    p has shape (P, 2); dx, dy have shape (T,); everything broadcasts to
-    (P, T) so a batch of points shares one set of angular nodes.
-    """
-    lo = np.broadcast_to(t_exit, t_exit.shape).copy()
-    hi = np.full_like(lo, np.inf)
-    if term is None:
-        return lo, hi
-    if isinstance(term, _HalfplaneTerm):
-        nx, ny = term.normal
-        dn = (dx * nx + dy * ny)[None, :]
-        pn = (p[:, 0] * nx + p[:, 1] * ny)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = (term.offset - pn) / dn
-        lo = np.where(dn > 0.0, np.maximum(lo, tau), lo)
-        hi = np.where(dn < 0.0, np.minimum(hi, tau), hi)
-        empty = (dn == 0.0) & (pn <= term.offset)
-        hi = np.where(empty, lo, hi)
-        return lo, hi
-    if isinstance(term, _BallTerm):
-        wx = term.center[0] - p[:, 0][:, None]
-        wy = term.center[1] - p[:, 1][:, None]
-        b = dx[None, :] * wx + dy[None, :] * wy
-        disc = b * b - (wx * wx + wy * wy - term.radius**2)
-        root = np.sqrt(np.maximum(disc, 0.0))
-        lo = np.maximum(lo, b - root)
-        hi = np.where(disc > 0.0, np.minimum(hi, b + root), lo)
-        return lo, hi
-    if isinstance(term, _SectorTerm):
-        for nrm in (
-            (-math.sin(term.angle_lo), math.cos(term.angle_lo)),
-            (math.sin(term.angle_hi), -math.cos(term.angle_hi)),
-        ):
-            l2, h2 = _term_interval(p, dx, dy, t_exit, _HalfplaneTerm(nrm, 0.0))
-            lo, hi = np.maximum(lo, l2), np.minimum(hi, h2)
-        return lo, hi
-    raise GeometryError(f"unknown region term {term!r}")
-
-
-def _angular_batch(points, weights, region: Region2D, radial_cdf,
-                   tol: float = 1e-8, n_start: int = 128,
-                   n_max: int = 4096, per_point: bool = False):
-    """Weighted sum of radially-exact region integrals from many points.
-
-    radial_cdf(t) is the remaining-mass integral from t to infinity, so a
-    ray piece contributes radial_cdf(lo) - radial_cdf(hi). One adaptively
-    doubled midpoint rule in the angle serves the whole batch; the
-    relative stopping test on the weighted total is invariant under
-    rescaling the geometry; a RuntimeWarning reports the relative change
-    reached if n_max stops the doubling first. With per_point the
-    per-point integrals are returned (their accuracy tracks the batch
-    total). Serves the 2D Poisson masses and the alpha >= 1 tails.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    weights = np.asarray(weights, dtype=float)
-    if region.is_empty():
-        return np.zeros(points.shape[0]) if per_point else 0.0
-    L = region.box_half
-    if np.any(np.abs(points) >= L):
-        raise GeometryError("angular quadrature points must lie inside the box")
-    prev = None
-    n_theta = n_start
-    while True:
-        theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
-        dx, dy = np.cos(theta), np.sin(theta)
-        t_exit = _box_exit(points[:, 0][:, None], points[:, 1][:, None],
-                           dx[None, :], dy[None, :], L)
-        acc = np.zeros_like(t_exit)
-        for coef, term in region.terms:
-            lo, hi = _term_interval(points, dx, dy, t_exit, term)
-            good = hi > lo
-            if not good.any():
-                continue
-            vals = np.zeros_like(t_exit)
-            lo_v = radial_cdf(lo[good])
-            hi_g = hi[good]
-            hi_v = np.zeros_like(lo_v)
-            fin = np.isfinite(hi_g)
-            if fin.any():
-                hi_v[fin] = radial_cdf(hi_g[fin])
-            vals[good] = lo_v - hi_v
-            acc += coef * vals
-        row = acc.sum(axis=1) * (2.0 * math.pi / n_theta)
-        total = float(weights @ row)
-        if prev is not None:
-            change = abs(total - prev) / max(abs(total), 1e-300)
-            if change > tol and n_theta >= n_max:
-                warnings.warn(
-                    f"angular quadrature stopped at {n_theta} angles with "
-                    f"relative change {change:.2e} > tol {tol:.1e}",
-                    RuntimeWarning, stacklevel=2)
-            if change <= tol or n_theta >= n_max:
-                return row if per_point else total
-        prev = total
-        n_theta *= 2
-
-
-def angular_region_integral(p, region: Region2D, radial_cdf, tol: float = 1e-8,
-                            n_start: int = 128, n_max: int = 4096) -> float:
-    """Region integral of a radially-exact density seen from one point."""
-    return _angular_batch(np.asarray(p, dtype=float)[None, :], np.ones(1),
-                          region, radial_cdf, tol=tol, n_start=n_start,
-                          n_max=n_max)
-
-
 def point_region_integral(p, region, alpha: float, tol: float = 1e-8) -> float:
     """Integral of |p-y|^(-(n+alpha)) over an exterior region."""
     _check_alpha(alpha)
@@ -650,7 +498,11 @@ def point_region_integral(p, region, alpha: float, tol: float = 1e-8) -> float:
             else:
                 parts.append(_point_piece_1d(-px, -b, -a, alpha))
         return ordered_sum(parts)
-    return angular_region_integral(p, region, lambda t: t ** (-alpha) / alpha, tol=tol)
+    pts = np.asarray(p, dtype=float).reshape(1, 2)
+    cdf = lambda t: t ** (-alpha) / alpha
+    return ordered_sum([coef * _point_term_mass(pts, np.ones(1), region.box_half, term,
+                                                cdf, tol)
+                        for coef, term in region.terms])
 
 
 def _regularized_ray_1d(e, f, a, b, alpha):
@@ -672,11 +524,10 @@ def tail_weight(cell, region, alpha: float, tol: float = 1e-8) -> float:
     """Kernel weight of a cell against an unbounded exterior region.
 
     1D is closed form (exact out to infinity); a region touching the cell
-    with alpha >= 1 uses the same depth-limited regularization as touching
-    pairs. 2D integrates exactly along lines for alpha < 1, with quadrature
-    over the lines only; for alpha >= 1 it subdivides the cell toward the
-    box boundary and evaluates the angular-radial integral at subcell
-    centers, the regularization shared with touching pairs.
+    with alpha >= 1 uses a depth-limited regularization. 2D integrates
+    exactly along lines for alpha < 1, with quadrature over the lines only;
+    for alpha >= 1 it subdivides the cell toward the box boundary and
+    integrates the region from every leaf centre by the point rule.
     """
     _check_alpha(alpha)
     lo, hi = _normalize_cell(cell)
@@ -714,13 +565,21 @@ def tail_weight(cell, region, alpha: float, tol: float = 1e-8) -> float:
         raise GeometryError("region dimensionality does not match the cell")
     if region.is_empty():
         return 0.0
-    if alpha >= 1.0:
-        return _cell_region_2d(lo, hi, region, alpha, tol, DEPTH_2D)
     L = region.box_half
     if np.any(np.abs(np.concatenate([lo, hi])) > L * (1.0 + 1e-12)):
         raise GeometryError("2D tail cells must lie inside the box")
-    return ordered_sum([coef * _line_cell_tail(lo, hi, L, term, alpha, tol)
+    return ordered_sum([coef * _cell_term_tail(lo, hi, L, term, alpha, tol)
                         for coef, term in region.terms])
+
+
+def _cell_term_tail(lo, hi, L, term, alpha, tol):
+    """Tail of one cell against one region term minus the box: the line
+    engine for alpha < 1, the midpoint leaves of the boundary-adaptive
+    subdivision, each integrated by the point rule, for alpha >= 1."""
+    if alpha < 1.0:
+        return _line_cell_tail(lo, hi, L, term, alpha, tol)
+    pts, wts = _cell_leaves_2d(lo, hi, L, DEPTH_2D)
+    return _point_term_mass(pts, wts, L, term, lambda t: t ** (-alpha) / alpha, tol)
 
 
 def _cell_leaves_2d(lo, hi, box_half, depth):
@@ -743,14 +602,6 @@ def _cell_leaves_2d(lo, hi, box_half, depth):
     return np.asarray(leaf_pts), np.asarray(leaf_wts)
 
 
-def _cell_region_2d(lo, hi, region, alpha, tol, depth):
-    """Subdivide the cell toward the box boundary, then evaluate every leaf
-    midpoint in one weighted angular pass."""
-    pts, wts = _cell_leaves_2d(lo, hi, region.box_half, depth)
-    return _angular_batch(pts, wts, region,
-                          lambda t: t ** (-alpha) / alpha, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # 2D cell tails along lines (alpha < 1)
 #
@@ -765,7 +616,7 @@ def _cell_region_2d(lo, hi, region, alpha, tol, depth):
 # every piece, so the integrand is smooth inside each piece up to algebraic
 # endpoint singularities that the clustering absorbs.
 
-LINE_ORDER_START = 8
+LINE_ORDER_START = 8          # per-arc Gauss orders of the line engine and the point rule
 LINE_ORDER_MAX = 128
 _LINE_BLOCK = 1 << 17      # line nodes evaluated per vectorized pass
 _CLUSTER_CACHE: dict = {}
@@ -951,7 +802,7 @@ def _theta_arcs(feat: _LineFeatures):
         return start, width, np.ones(start.size, dtype=bool)
     par = np.mod(np.concatenate([feat.dirs, np.add(feat.dirs, math.pi)]), 2.0 * math.pi)
     ends = np.mod(np.concatenate([start, start + width]), 2.0 * math.pi)
-    hit = np.isclose(ends[:, None], par[None, :], rtol=0.0, atol=1e-12).any(axis=1)
+    hit = (np.abs(ends[:, None] - par[None, :]) <= 1e-12).any(axis=1)
     return start, width, hit[: start.size] | hit[start.size:]
 
 
@@ -994,33 +845,23 @@ def _line_arc_sums(lo, hi, L, term, alpha, feat: _LineFeatures, arcs, n: int):
     return np.bincount(row // n, weights=contrib, minlength=start.size)
 
 
-def _line_cell_tail(lo, hi, L, term, alpha, tol):
-    """Tail of one cell against term minus box.
+def _converged_arc_sums(arc_sums, arcs, floor, tol, what):
+    """Sum of arc_sums(arcs, n) over the arcs, each arc at its own order.
 
-    Each theta arc doubles its order until its last doubling moved it by
-    at most tol / (2 * arcs) of the total, and the total stops once the
-    last doublings of all arcs move it by at most tol; a warning reports
-    the order cap if it stops them first. Changes are relative to the
-    total, or to the kernel mass every point of the box sees beyond the
-    box diagonal if that is larger: a term that barely meets the region
-    beyond the box (a ball tangent to it) has a tail at roundoff level.
-    Cell faces within roundoff of the box boundary are put on it, so a
-    touching face is exactly touching.
+    Each arc doubles its order until its last doubling moved it by at most
+    tol / (2 * arcs) of the total, and the total stops once the last
+    doublings of all arcs move it by at most tol; a warning reports the
+    order cap if it stops them first. Changes are relative to the total, or
+    to floor if that is larger. arcs is a tuple of per-arc arrays.
     """
-    snap = 1e-12 * L
-    lo = np.where(np.abs(lo + L) <= snap, -L, lo)
-    hi = np.where(np.abs(hi - L) <= snap, L, hi)
-    feat = _line_features(lo, hi, L, term)
-    arcs = _theta_arcs(feat)
-    floor = np.prod(hi - lo) * 2.0 * math.pi * (2.0 * math.sqrt(2.0) * L) ** -alpha / alpha
     n = LINE_ORDER_START
-    sums = _line_arc_sums(lo, hi, L, term, alpha, feat, arcs, n)
+    sums = arc_sums(arcs, n)
     change = np.zeros(sums.size)
     active = np.arange(sums.size)
     while True:
         n *= 2
         sub = tuple(part[active] for part in arcs)
-        new = _line_arc_sums(lo, hi, L, term, alpha, feat, sub, n)
+        new = arc_sums(sub, n)
         change[active] = np.abs(new - sums[active])
         sums[active] = new
         total = ordered_sum(sums)
@@ -1031,9 +872,100 @@ def _line_cell_tail(lo, hi, L, term, alpha, tol):
             return total
         if n >= LINE_ORDER_MAX:
             warnings.warn(
-                f"2D line tail stopped at order {n} with relative change "
-                f"{moved:.2e} > tol {tol:.1e}", RuntimeWarning, stacklevel=3)
+                f"{what} stopped at order {n} with relative change "
+                f"{moved:.2e} > tol {tol:.1e}", RuntimeWarning, stacklevel=4)
             return total
+
+
+def _line_cell_tail(lo, hi, L, term, alpha, tol):
+    """Tail of one cell against term minus box, converged arc by arc.
+
+    The floor of the relative changes is the kernel mass every point of
+    the box sees beyond the box diagonal: a term that barely meets the
+    region beyond the box (a ball tangent to it) has a tail at roundoff
+    level. Cell faces within roundoff of the box boundary are put on it,
+    so a touching face is exactly touching.
+    """
+    snap = 1e-12 * L
+    lo = np.where(np.abs(lo + L) <= snap, -L, lo)
+    hi = np.where(np.abs(hi - L) <= snap, L, hi)
+    feat = _line_features(lo, hi, L, term)
+    floor = np.prod(hi - lo) * 2.0 * math.pi * (2.0 * math.sqrt(2.0) * L) ** -alpha / alpha
+    return _converged_arc_sums(
+        lambda arcs, n: _line_arc_sums(lo, hi, L, term, alpha, feat, arcs, n),
+        _theta_arcs(feat), floor, tol, "2D line tail")
+
+
+# ---------------------------------------------------------------------------
+# 2D point integrals along rays
+#
+# From a point p inside the box, a radially symmetric density with the
+# remaining-mass function radial_cdf(t) (its integral over r > t, per unit
+# angle) gives every ray the exact mass radial_cdf(lo) - radial_cdf(hi) of
+# its interval [lo, hi] in the term beyond the box exit. Only the direction
+# is quadrature, split at the same feature directions the line engine uses
+# for the degenerate cell [p, p]: box corners, the points where the term
+# boundary meets the box, ball tangents and the boundary directions, along
+# which the ray mass has an algebraic endpoint singularity. Points come in
+# weighted batches (the leaves of one cell), with one convergence test on
+# the weighted total.
+
+
+def _point_arcs(pts, L, term):
+    """(start, width, clustered, point) of every direction arc of every
+    point: the arcs of the degenerate cell [p, p], whose features other
+    than its vertex do not depend on p. A ball adds the directions normal
+    to the one from p to its centre: from a point just inside it, the
+    ray's exit from the ball swings from near to far across them."""
+    feat = _line_features(pts[0], pts[0], L, term)
+    parts = []
+    for k, p in enumerate(pts):
+        dirs = feat.dirs
+        if feat.circle is not None:
+            to_center = feat.circle[0] - p
+            dirs = (math.atan2(to_center[1], to_center[0]) + 0.5 * math.pi,)
+        start, width, cluster = _theta_arcs(replace(feat, verts=p[None, :], dirs=dirs))
+        parts.append((start, width, cluster, np.full(start.size, k)))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _point_arc_sums(pts, wts, L, term, radial_cdf, arcs, n: int):
+    """The weighted direction quadrature at order n, one sum per arc."""
+    start, width, cluster, owner = arcs
+    xg, wg = _gauss01(n)
+    xc, wc = _clustered01(n)
+    pick = cluster[:, None]
+    theta = start[:, None] + width[:, None] * np.where(pick, xc, xg)
+    w_theta = width[:, None] * np.where(pick, wc, wg)
+    c, s = np.cos(theta), np.sin(theta)
+    px, py = pts[owner, 0][:, None], pts[owner, 1][:, None]
+    with np.errstate(divide="ignore"):
+        exit_ = np.minimum(np.where(c > 0.0, L - px, -L - px) / c,
+                           np.where(s > 0.0, L - py, -L - py) / s)
+    # the ray is the part t > p . d of the line (p . n) n + t d
+    along = px * c + py * s
+    t_lo, t_hi = _term_line_interval(term, py * c - px * s, c, s)
+    lo = np.maximum(t_lo - along, exit_)
+    hi = np.broadcast_to(t_hi - along, lo.shape)
+    vals = np.zeros(lo.shape)
+    seen = hi > lo
+    vals[seen] = radial_cdf(lo[seen])
+    ends = seen & np.isfinite(hi)
+    vals[ends] -= radial_cdf(hi[ends])
+    return wts[owner] * (w_theta * vals).sum(axis=1)
+
+
+def _point_term_mass(pts, wts, L, term, radial_cdf, tol):
+    """Sum over the points of weight times the mass of term minus the box
+    seen from the point, converged arc by arc to tol relative to the total,
+    or to the mass all points see beyond the box diagonal if that is larger.
+    """
+    if np.any(np.abs(pts) >= L):
+        raise GeometryError("point integrals need points inside the box")
+    floor = float(np.sum(wts)) * 2.0 * math.pi * radial_cdf(2.0 * math.sqrt(2.0) * L)
+    return _converged_arc_sums(
+        lambda arcs, n: _point_arc_sums(pts, wts, L, term, radial_cdf, arcs, n),
+        _point_arcs(pts, L, term), floor, tol, "2D point integral")
 
 
 # ---------------------------------------------------------------------------
@@ -1154,7 +1086,7 @@ def _offsets_2d(m: int, h: float, alpha: float) -> np.ndarray:
             if max(dx, dy) <= 1:  # touching offsets (0,1) and (1,1)
                 if alpha >= 1.0:
                     kind = "edge" if min(dx, dy) == 0 else "corner"
-                    vals[dy] = _regularized_touch_2d(kind, h, alpha, 0)
+                    vals[dy] = _midpoint_touch_2d(kind, h, alpha)
                 else:
                     vals[dy] = _pair_weight_polar_2d(delta, widths, widths, alpha)
             else:
@@ -1287,12 +1219,10 @@ class KernelTable:
         if region not in self._tail_cache:
             g = self.grid
             half = 0.5 * g.h
-            if g.dimension == 2 and isinstance(region, Region2D) and self.alpha < 1.0:
+            if g.dimension == 2 and isinstance(region, Region2D):
                 vals = np.zeros(g.n_cells)
                 for coef, term in region.terms:
                     vals = vals + coef * self._term_tails_2d(region.box_half, term)
-            elif g.dimension == 2 and isinstance(region, Region2D):
-                vals = self._region_tails_2d_batched(region)
             else:
 
                 def block(idx):
@@ -1314,21 +1244,22 @@ class KernelTable:
 
     def _term_tails_2d(self, box_half: float, term) -> np.ndarray:
         """Tails of every cell against one region term, memoized per term:
-        complementary regions share their terms. The whole plane and
-        half-planes on grid lines come from the cell-perimeter identities,
-        every other term from the line engine."""
+        complementary regions share their terms. For alpha < 1 the whole
+        plane and half-planes on grid lines come from the cell-perimeter
+        identities; every other term, and every term at alpha >= 1, is
+        _cell_term_tail cell by cell."""
         key = ("term", box_half, term)
         if key not in self._tail_cache:
             g = self.grid
             half = 0.5 * g.h
             vals = None
-            if box_half == g.spec.half_width:
+            if box_half == g.spec.half_width and self.alpha < 1.0:
                 vals = _identity_term_tails(g, self.offset_weights, self.alpha, term)
             if vals is None:
 
                 def block(idx):
                     return np.array([
-                        _line_cell_tail(g.centers[i] - half, g.centers[i] + half,
+                        _cell_term_tail(g.centers[i] - half, g.centers[i] + half,
                                         box_half, term, self.alpha, self.tol)
                         for i in idx
                     ])
@@ -1337,33 +1268,6 @@ class KernelTable:
                 vals = np.concatenate(map_blocks(block, chunks))
             self._tail_cache[key] = vals
         return self._tail_cache[key]
-
-    def _region_tails_2d_batched(self, region) -> np.ndarray:
-        """All-cell 2D tails in chunked weighted angular passes (alpha >= 1)."""
-        g = self.grid
-        half = 0.5 * g.h
-        if region.is_empty():
-            return np.zeros(g.n_cells)
-        pts, wts, owner = [], [], []
-        for i in range(g.n_cells):
-            lo = g.centers[i] - half
-            hi = g.centers[i] + half
-            p, w = _cell_leaves_2d(lo, hi, region.box_half, DEPTH_2D)
-            pts.append(p)
-            wts.append(w)
-            owner.append(np.full(p.shape[0], i))
-        pts = np.concatenate(pts)
-        wts = np.concatenate(wts)
-        owner = np.concatenate(owner)
-        tol = max(self.tol, 1e-8)
-        cdf = lambda t: t ** (-self.alpha) / self.alpha
-        per_point = np.empty(pts.shape[0])
-        chunk = 2048
-        for start in range(0, pts.shape[0], chunk):
-            sl = slice(start, start + chunk)
-            per_point[sl] = _angular_batch(pts[sl], wts[sl], region, cdf,
-                                           tol=tol, per_point=True)
-        return np.bincount(owner, weights=wts * per_point, minlength=g.n_cells)
 
     def set_tails(self, set_spec):
         """(T+, T-): tails against E0 minus box and E0-complement minus box."""

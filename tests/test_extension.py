@@ -264,6 +264,70 @@ def test_lattice_convolution_matches_direct_rows(set_spec, levels):
     assert np.max(np.abs(fft_vals[1:] - direct)) < 1e-13
 
 
+def _ball_far_masses_by_quad(p, lp, center, radius, cdf):
+    """(mass outside the ball, mass inside the ball) beyond the box
+    [-lp, lp]^2 seen from p: scipy quad in the direction on every arc
+    between the directions to the box corners, to the points where the
+    circle meets the box boundary and along the tangents from p."""
+    from scipy.integrate import quad
+
+    cx, cy = center
+    feats = [(sx * lp, sy * lp) for sx in (-1, 1) for sy in (-1, 1)]
+    for k in range(2):
+        for edge in (-lp, lp):
+            gap = radius**2 - (edge - center[k]) ** 2
+            for sgn in ((-1.0, 1.0) if gap > 0.0 else ()):
+                other = center[1 - k] + sgn * math.sqrt(gap)
+                if abs(other) <= lp:
+                    feats.append((edge, other) if k == 0 else (other, edge))
+    angles = [math.atan2(y - p[1], x - p[0]) for x, y in feats]
+    dist = math.hypot(cx - p[0], cy - p[1])
+    if dist > radius:
+        base = math.atan2(cy - p[1], cx - p[0])
+        angles += [base - math.asin(radius / dist), base + math.asin(radius / dist)]
+    brk = sorted({a % (2.0 * math.pi) for a in angles} | {0.0, 2.0 * math.pi})
+
+    def ray(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        exit_ = min((lp - p[0]) / c if c > 0 else (-lp - p[0]) / c if c < 0 else math.inf,
+                    (lp - p[1]) / s if s > 0 else (-lp - p[1]) / s if s < 0 else math.inf)
+        b = c * (cx - p[0]) + s * (cy - p[1])
+        disc = b * b - (dist * dist - radius**2)
+        inside = 0.0
+        if disc > 0.0:
+            lo, hi = max(b - math.sqrt(disc), exit_), b + math.sqrt(disc)
+            if hi > lo:
+                inside = cdf(lo) - cdf(hi)
+        return cdf(exit_) - inside, inside
+
+    out = np.zeros(2)
+    for a0, a1 in zip(brk[:-1], brk[1:]):
+        for k in range(2):
+            out[k] += quad(lambda t: ray(t)[k], a0, a1, epsabs=0.0, epsrel=1e-13,
+                           limit=200)[0]
+    return out
+
+
+def test_ball_far_masses_match_per_arc_quad():
+    # the geometry of the ball case of the lattice test above: every node
+    # of both levels, outside and inside the ball beyond the padded box
+    from fracfree.extension import _lattice_points, _poisson_region_masses
+
+    g = build_grid(GridSpec(2, 2.0, 6, 128.0, 1.5))
+    hg = make_half_grid(g, levels=2, ratio=1.6, pad_cells=1)
+    set_spec = BallSet((0.5, -0.25), 3.0, -1)
+    beta, lp = 0.7, hg.padded_half_width
+    pts = _lattice_points(hg)
+    for z in hg.z_array():
+        z = float(z)
+        cdf = lambda t: z**beta * (t * t + z * z) ** (-0.5 * beta) / (2.0 * math.pi)
+        far_pos, far_neg = _poisson_region_masses(pts, z, set_spec, lp, beta)
+        ref = np.array([_ball_far_masses_by_quad(p, lp, set_spec.center,
+                                                 set_spec.radius, cdf) for p in pts])
+        assert np.max(np.abs(far_pos / ref[:, 0] - 1.0)) <= 1e-10
+        assert np.max(np.abs(far_neg / ref[:, 1] - 1.0)) <= 1e-10
+
+
 def test_cone_defect_reuses_annulus_fractions_bit_for_bit(monkeypatch):
     # one annulus_fractions call per radius, shared by the six energies,
     # and the defects are bit-identical to recomputing it in every call

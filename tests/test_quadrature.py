@@ -481,43 +481,66 @@ def test_2d_tails_scale_and_rotate(set_spec, turned):
 
 
 def test_2d_tails_at_alpha_above_one_keep_their_regularization():
-    # alpha >= 1: the depth-limited angular tails, bit for bit as frozen
-    # from the subdivision engine that defines this regularization
+    # alpha >= 1: the depth-6 midpoint leaves, each integrated by the
+    # converged point rule, bit for bit as frozen; within 1e-6 of the
+    # values the same leaves gave under a capped uniform angle rule, so
+    # the regularization itself is unchanged
     g = build_grid(GridSpec(2, 1.0, 2, 64.0, 1.0))
     pos, _ = set_exterior_regions(HalfspaceSet((1.0, 0.0), 0.0), g)
     tails = assemble_table(g, 1.2).region_tails(pos)
-    assert [v.hex() for v in tails] == [
-        "0x1.1846eb8f7974bp+1", "0x1.1846eb8f7974ep+1",
-        "0x1.0fd6ffb478904p+5", "0x1.0fd6ffb47890ap+5",
-    ]
     g4 = build_grid(GridSpec(2, 1.0, 4, 64.0, 1.0))
     ball, _ = set_exterior_regions(BallSet((0.0, 0.0), 2.0), g4)
     cell = (np.array([-0.5, -0.5]), np.array([0.0, 0.0]))
-    assert tail_weight(cell, ball, 1.5).hex() == "0x1.69b836f019d5dp-1"
+    got = list(tails) + [tail_weight(cell, ball, 1.5)]
+    assert [v.hex() for v in got] == [
+        "0x1.1846e8ad66cd5p+1", "0x1.1846e8ad66cd5p+1",
+        "0x1.0fd6ffd637eaep+5", "0x1.0fd6ffd637eaep+5",
+        "0x1.69b835f6b1d39p-1",
+    ]
+    capped = [float.fromhex(v) for v in (
+        "0x1.1846eb8f7974bp+1", "0x1.1846eb8f7974ep+1",
+        "0x1.0fd6ffb478904p+5", "0x1.0fd6ffb47890ap+5",
+        "0x1.69b836f019d5dp-1",
+    )]
+    assert np.allclose(got, capped, rtol=1e-6, atol=0.0)
+
+
+def test_2d_touching_pairs_at_alpha_above_one_are_midpoint_values():
+    g = build_grid(GridSpec(2, 1.0, 4, 64.0, 1.0))
+    h, alpha = g.h, 1.2
+    table = assemble_table(g, alpha)
+    edge = h ** (2.0 - alpha)
+    corner = h ** (2.0 - alpha) * math.sqrt(2.0) ** (-(2.0 + alpha))
+    assert table.offset_weights[0, 1] == edge and table.offset_weights[1, 0] == edge
+    assert table.offset_weights[1, 1] == corner
+    cell = ((0.0, 0.0), (h, h))
+    assert cell_pair_weight(cell, ((h, 0.0), (2.0 * h, h)), alpha) == edge
+    assert cell_pair_weight(cell, ((h, h), (2.0 * h, 2.0 * h)), alpha) == corner
 
 
 def test_region_tails_worker_cap_invariance():
     g = build_grid(GridSpec(2, 1.0, 4, 64.0, 1.0))
     pos, neg = set_exterior_regions(HalfspaceSet((1.0, 2.0), 0.3), g)
-    try:
-        set_worker_cap(1)
-        one = [assemble_table(g, 0.5).region_tails(r) for r in (pos, neg)]
-        set_worker_cap(4)
-        four = [assemble_table(g, 0.5).region_tails(r) for r in (pos, neg)]
-    finally:
-        set_worker_cap(1)
-    for a, b in zip(one, four):
-        assert np.array_equal(a, b)
+    for alpha in (0.5, 1.2):
+        try:
+            set_worker_cap(1)
+            one = [assemble_table(g, alpha).region_tails(r) for r in (pos, neg)]
+            set_worker_cap(4)
+            four = [assemble_table(g, alpha).region_tails(r) for r in (pos, neg)]
+        finally:
+            set_worker_cap(1)
+        for a, b in zip(one, four):
+            assert np.array_equal(a, b)
 
 
-def test_angular_quadrature_warns_at_its_cap():
-    from fracfree.quadrature import angular_region_integral
+def test_angular_quadrature_warns_at_its_cap(monkeypatch):
+    from fracfree import quadrature as q
 
+    monkeypatch.setattr(q, "LINE_ORDER_MAX", 16)
     g = build_grid(GridSpec(2, 1.0, 2, 64.0, 1.0))
     pos, _ = set_exterior_regions(HalfspaceSet((1.0, 0.0), 0.0), g)
-    with pytest.warns(RuntimeWarning, match="relative change"):
-        angular_region_integral((-0.5, -0.5), pos, lambda t: t ** -0.5 / 0.5,
-                                tol=1e-15, n_start=8, n_max=32)
+    with pytest.warns(RuntimeWarning, match="point integral stopped at order 16"):
+        q.point_region_integral((-0.5, -0.5), pos, 0.5, tol=1e-15)
 
 
 def test_line_tail_warns_at_its_order_cap(monkeypatch):
