@@ -315,10 +315,13 @@ def _half_grid(cfg: ExperimentConfig, grid, **overrides):
 
 
 def _minimize(cfg: ExperimentConfig):
+    """The minimization report and the compensated energy of its pair (the
+    trace holds the expanded quadratic, which can dip below zero at
+    roundoff)."""
     g, tg, tp = _tables(cfg)
     pair0 = make_pair(*sample_datum(cfg.datum, g))
     report = alternate_minimize(pair0, cfg.solver, tg, tp)
-    return g, tg, tp, report
+    return g, tg, report, total_energy(report.pair, cfg.fractional, tg, tp)
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -360,8 +363,7 @@ def _run_energy(cfg, run_dir):
 
 
 def _run_minimize(cfg, run_dir):
-    g, tg, tp, report = _minimize(cfg)
-    final = report.trace[-1]
+    g, _, report, final = _minimize(cfg)
     scalars = {
         "gagliardo": final.gagliardo,
         "perimeter": final.perimeter,
@@ -414,14 +416,14 @@ def _run_comparison(cfg, run_dir):
         raise ConfigError("experiment_params.bound: required for comparison runs")
     bound = float(cfg.experiment_params["bound"])
     side = cfg.experiment_params.get("side", "above")
-    g, tg, tp, report = _minimize(cfg)
+    g, _, report, final = _minimize(cfg)
     u_in = report.pair.u.values[g.in_omega]
     scalars = {
         "bound": bound,
         "side": side,
         "min_u": float(u_in.min()),
         "max_u": float(u_in.max()),
-        "total": report.trace[-1].total,
+        "total": final.total,
     }
     if side == "above":
         verdicts = {"comparison": u_in.min() >= bound - 1e-6}
@@ -437,7 +439,7 @@ def _run_remark_r(cfg, run_dir):
     if abs(cfg.fractional.sigma - 2.0 * cfg.fractional.s) > 1e-12:
         raise ConfigError("fractional: remark-r requires sigma = 2 s")
     threshold = float(cfg.experiment_params.get("value_threshold", 0.5))
-    g, tg, tp, report = _minimize(cfg)
+    g, _, report, final = _minimize(cfg)
     u_in = report.pair.u.values[g.in_omega]
     e_in = report.pair.phases.indicator[g.in_omega]
     both = bool((e_in == 1).any() and (e_in == -1).any())
@@ -446,7 +448,7 @@ def _run_remark_r(cfg, run_dir):
         "min_abs_u": min_abs,
         "phase_plus_cells": int((e_in == 1).sum()),
         "phase_minus_cells": int((e_in == -1).sum()),
-        "total": report.trace[-1].total,
+        "total": final.total,
     }
     verdicts = {
         "both_phases_nonempty": both,
@@ -461,7 +463,7 @@ def _run_remark_r(cfg, run_dir):
 
 def _run_plateau(cfg, run_dir):
     factor = float(cfg.experiment_params.get("residual_factor", 10.0))
-    g, tg, tp, report = _minimize(cfg)
+    g, tg, report, final = _minimize(cfg)
     pair = report.pair
     u_in = pair.u.values[g.in_omega]
     delta = _zero_threshold(cfg.solver, u_in)
@@ -481,7 +483,7 @@ def _run_plateau(cfg, run_dir):
         "zero_threshold": delta,
         "kkt_bound": kkt_bound,
         "residual_at_single_zero": residual,
-        "total": report.trace[-1].total,
+        "total": final.total,
     }
     verdicts = {"no_isolated_nonharmonic_zero": not single_and_bad}
     path = os.path.join(run_dir, "solution.csv")
@@ -503,13 +505,11 @@ def _weiss_radii(cfg, grid):
 def _run_weiss_scan(cfg, run_dir):
     synthetic = isinstance(cfg.datum.func, ConeF)
     g, tg, tp = _tables(cfg)
-    if synthetic:
-        pair = make_pair(*sample_datum(cfg.datum, g))
-        kkt = 0.0
-    else:
-        _, _, _, report = _minimize(cfg)
-        pair = report.pair
-        kkt = report.qp_kkt
+    pair = make_pair(*sample_datum(cfg.datum, g))
+    kkt = 0.0
+    if not synthetic:
+        report = alternate_minimize(pair, cfg.solver, tg, tp)
+        pair, kkt = report.pair, report.qp_kkt
     hg = _half_grid(cfg, g)
     radii = _weiss_radii(cfg, g)
     shell_cells = float(cfg.experiment_params.get("shell_cells", 3.0))

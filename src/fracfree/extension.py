@@ -4,13 +4,16 @@ A function on R^n extends to the half space z > 0 by convolution with the
 order-beta Poisson kernel z^beta / (|x|^2 + z^2)^((n+beta)/2); a phase set
 extends through its +-1 indicator. Discrete kernel rows are normalized to
 unit mass, so constants extend exactly and no dimensional constant is
-carried. In 2D the rows at lattice nodes are FFT convolutions (the
+carried. The datum beyond the padded box enters as the constant pieces of
+``quadrature.datum_far_pieces``, the same decomposition the energy tails
+use; only a homogeneous profile in 1D is sampled on stretch blocks
+instead. In 2D the rows at lattice nodes are FFT convolutions (the
 midpoint kernel depends only on the index offset) and rows at off-lattice
 nodes are direct sums; both share one far-field step and are unit-mass.
-That step is exact for half-planes and full sets; for balls and sectors
-each region term's mass beyond the padded box comes from the split-arc
-point rule of ``quadrature`` (exact radial mass per ray, Gauss-Legendre
-in the direction, order doubled until FAR_MASS_TOL is met).
+That step is exact when every term of the pieces is the whole plane or a
+half-plane; otherwise each term's mass beyond the padded box comes from
+the split-arc point rule of ``quadrature`` (exact radial mass per ray,
+Gauss-Legendre in the direction, order doubled until FAR_MASS_TOL is met).
 On top of the extensions live the weighted Dirichlet energy over
 half-balls, the radial monotonicity profile (Weiss-type functional), and
 the translation-defect probe for homogeneous pairs.
@@ -25,28 +28,19 @@ import numpy as np
 from scipy.fft import irfft2, next_fast_len, rfft2
 from scipy.special import betainc
 
-from .errors import (
-    FreeBoundaryError,
-    IncompleteDatumError,
-    InvalidSpecError,
-    OutOfRangeError,
-)
+from .errors import FreeBoundaryError, InvalidSpecError, OutOfRangeError
 from .model import (
     AdmissiblePair,
     ConeF,
     ConstantF,
     DiscreteFunction,
     FractionalParams,
-    FullSet,
     Grid,
-    HalfspaceSet,
     IndicatorF,
     PhaseSet,
-    SectorSet,
-    TabulatedF,
 )
 from .numerics import ordered_sum, smoothstep_quintic
-from .quadrature import _point_term_mass, _set_regions_1d, _set_terms_2d
+from .quadrature import _HalfplaneTerm, _point_term_mass, datum_far_pieces
 
 STRETCH_RATIO = 1.10       # geometric sampling of unbounded smooth data
 FAR_FACTOR = 1.0e5         # sampling reach in units of the top level
@@ -167,40 +161,22 @@ class ExtendedField:
 # 1D extension
 
 def _far_pieces_1d(func_spec, lp: float, z_top: float):
-    """Triples (lo, hi, value) describing the datum beyond half-width lp."""
-    if isinstance(func_spec, ConstantF):
-        pos, _ = _set_regions_1d(FullSet(1), lp)
-        return [(a, b, func_spec.value) for a, b in pos.pieces]
-    if isinstance(func_spec, IndicatorF):
-        pos, neg = _set_regions_1d(func_spec.set_spec, lp)
-        return [(a, b, func_spec.amp) for a, b in pos.pieces] + [
-            (a, b, -func_spec.amp) for a, b in neg.pieces
-        ]
-    if isinstance(func_spec, TabulatedF):
-        if func_spec.far_value is None:
-            raise IncompleteDatumError("tabulated datum lacks far coverage")
-        out = []
-        edges = list(func_spec.edges)
-        for k in range(len(edges) - 1):
-            if edges[k + 1] > lp:
-                out.append((max(edges[k], lp), edges[k + 1], func_spec.right[k]))
-            if edges[k + 1] > lp:
-                out.append((-edges[k + 1], min(-edges[k], -lp), func_spec.left[k]))
-        out.append((max(edges[-1], lp), math.inf, func_spec.far_value))
-        out.append((-math.inf, -max(edges[-1], lp), func_spec.far_value))
-        return out
-    if isinstance(func_spec, ConeF):
-        blocks = _stretch_blocks(lp, z_top)
-        mids = 0.5 * (blocks[:-1] + blocks[1:])
-        out = []
-        for side in (1.0, -1.0):
-            vals = func_spec.evaluate((side * mids)[:, None])
-            for k in range(mids.size):
-                lo = side * blocks[k] if side > 0 else -blocks[k + 1]
-                hi = side * blocks[k + 1] if side > 0 else -blocks[k]
-                out.append((lo, hi, vals[k]))
-        return out
-    raise IncompleteDatumError(f"no far-field rule for {func_spec!r}")
+    """Triples (lo, hi, value) describing the datum beyond half-width lp:
+    the pieces of datum_far_pieces, or stretch blocks sampling a
+    homogeneous profile."""
+    if not isinstance(func_spec, ConeF):
+        return [(a, b, value) for value, region in datum_far_pieces(func_spec, lp, 1)
+                for a, b in region.pieces]
+    blocks = _stretch_blocks(lp, z_top)
+    mids = 0.5 * (blocks[:-1] + blocks[1:])
+    out = []
+    for side in (1.0, -1.0):
+        vals = func_spec.evaluate((side * mids)[:, None])
+        for k in range(mids.size):
+            lo = side * blocks[k] if side > 0 else -blocks[k + 1]
+            hi = side * blocks[k + 1] if side > 0 else -blocks[k]
+            out.append((lo, hi, vals[k]))
+    return out
 
 
 def _stretch_blocks(lp: float, z_top: float) -> np.ndarray:
@@ -246,65 +222,74 @@ def _extend_1d(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
 # ---------------------------------------------------------------------------
 # 2D extension
 
-def _total_set_mass_2d(pts, z: float, set_spec, beta: float):
-    """Kernel mass of the positive phase over the whole plane.
-
-    Exact for halfplanes (1D marginal) and full/empty sets; balls and
-    sectors are assembled from the far region by the point rule plus
-    the in-lattice midpoint attribution handled by the caller (value None
-    signals that slow path).
-    """
-    if isinstance(set_spec, FullSet):
-        return np.full(pts.shape[0], 1.0 if set_spec.sign > 0 else 0.0)
-    if isinstance(set_spec, HalfspaceSet):
-        nrm = np.asarray(set_spec.normal, dtype=float)
-        scale = float(np.linalg.norm(nrm))
-        signed = (pts @ nrm - set_spec.offset) / scale
-        return np.asarray(_std_mass(signed / z, beta))
-    return None
+def _pieces_terms(pieces):
+    """The distinct region terms of 2D far-field pieces, in order."""
+    return list(dict.fromkeys(term for _, region in pieces for _, term in region.terms))
 
 
-def _poisson_region_masses(pts, z: float, set_spec, lp: float, beta: float):
-    """(mass of E0 minus boxpad, mass of E0^c minus boxpad) from each point,
-    by the point rule with the exact radial kernel integral. Each term of
-    E0 is integrated once; E0^c is the whole plane minus those terms."""
-    terms = _set_terms_2d(set_spec)
+def _region_sum(region, per_term):
+    return sum(coef * per_term[term] for coef, term in region.terms)
+
+
+def _lattice_halfplanes(pieces):
+    """The half-planes whose in-lattice kernel sums the far step reads: all
+    terms of the pieces when each is the whole plane or a half-plane, whose
+    total masses are closed-form; none when the point rule serves them."""
+    terms = _pieces_terms(pieces)
+    if all(term is None or isinstance(term, _HalfplaneTerm) for term in terms):
+        return [term for term in terms if term is not None]
+    return []
+
+
+def _halfplane_indicator(pts, term):
+    return (pts @ np.asarray(term.normal, dtype=float) - term.offset > 0.0).astype(float)
+
+
+def _point_far_masses(pts, z: float, pieces, lp: float, beta: float):
+    """Mass of every piece's region beyond the padded box, seen from each
+    point, by the point rule with the exact radial kernel integral; each
+    term is integrated once."""
 
     def cdf(t):
         return z**beta * (t * t + z * z) ** (-0.5 * beta) / (2.0 * math.pi)
 
     one = np.ones(1)
-    masses = {}
-    for term in [None] + [term for _, term in terms]:
-        if term not in masses:
-            masses[term] = np.array([
-                _point_term_mass(p[None, :], one, lp, term, cdf, FAR_MASS_TOL) for p in pts
-            ])
-    far_pos = np.zeros(pts.shape[0])
-    for coef, term in terms:
-        far_pos = far_pos + coef * masses[term]
-    return far_pos, masses[None] - far_pos
+    masses = {
+        term: np.array([
+            _point_term_mass(p[None, :], one, lp, term, cdf, FAR_MASS_TOL) for p in pts
+        ])
+        for term in _pieces_terms(pieces)
+    }
+    return [_region_sum(region, masses) for _, region in pieces]
 
 
-def _normalized_rows(pts, z: float, num, den, pos_in, set_spec, v_plus: float,
-                     v_minus: float, lp: float, beta: float):
+def _normalized_rows(pts, z: float, sums, halfplanes, pieces, lp: float, beta: float):
     """Add the far field to in-lattice row sums and normalize to unit mass.
 
-    num, den and pos_in are the in-lattice kernel sums against the trace,
-    against ones, and against the positive-phase indicator. The far field
-    is v_plus on the positive phase and v_minus on the rest. When the
-    total positive-phase mass is exact (halfplane/full), the far masses
-    are its complement against the in-lattice attribution and the row
-    mass is exactly one; otherwise both come from the point rule.
+    sums are the in-lattice kernel sums against the trace, against ones
+    and against the indicator of each of halfplanes. When those cover
+    every term of the pieces, a region's far mass is its closed-form total
+    (1 for the whole plane, the 1D marginal for a half-plane) minus its
+    in-lattice attribution, and the row mass is exactly one; otherwise
+    every term's far mass comes from the point rule.
     """
-    total_pos = _total_set_mass_2d(pts, z, set_spec, beta)
-    if total_pos is not None:
-        far_pos = total_pos - pos_in
-        far_neg = (1.0 - total_pos) - (den - pos_in)
+    num = sums[0]
+    in_lattice = dict(zip([None] + halfplanes, sums[1:]))
+    terms = _pieces_terms(pieces)
+    if all(term in in_lattice for term in terms):
+        total = {None: 1.0}
+        for term in halfplanes:
+            nrm = np.asarray(term.normal, dtype=float)
+            signed = (pts @ nrm - term.offset) / float(np.linalg.norm(nrm))
+            total[term] = _std_mass(signed / z, beta)
+        far = [_region_sum(region, total) - _region_sum(region, in_lattice)
+               for _, region in pieces]
     else:
-        far_pos, far_neg = _poisson_region_masses(pts, z, set_spec, lp, beta)
-    num = num + v_plus * far_pos + v_minus * far_neg
-    den = den + far_pos + far_neg
+        far = _point_far_masses(pts, z, pieces, lp, beta)
+    den = in_lattice[None]
+    for (value, _), mass in zip(pieces, far):
+        num = num + value * mass
+        den = den + mass
     return num / den
 
 
@@ -321,8 +306,7 @@ def _lattice_points(hg: HalfGrid) -> np.ndarray:
     return np.stack([xx.ravel(), yy.ravel()], axis=1)
 
 
-def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, set_spec, v_plus: float,
-                 v_minus: float, beta: float):
+def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
     """Evaluator: row(points, z) of the 2D extension at arbitrary points.
 
     Direct midpoint sums over the lattice plus the far field of
@@ -333,13 +317,12 @@ def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, set_spec, v_plus: float,
     h = hg.grid.h
     src = _lattice_points(hg)
     vals_flat = trace_vals.ravel()
-    pos_flat = 0.5 * (set_spec.membership(src).astype(float) + 1.0)
+    halfplanes = _lattice_halfplanes(pieces)
+    inds = [_halfplane_indicator(src, term) for term in halfplanes]
 
     def row(pts: np.ndarray, z: float) -> np.ndarray:
         z = float(z)
-        num = np.zeros(pts.shape[0])
-        den = np.zeros(pts.shape[0])
-        pos_in = np.zeros(pts.shape[0])
+        sums = np.zeros((2 + len(inds), pts.shape[0]))
         chunk = max(1, 2**23 // max(1, src.shape[0]))
         for start in range(0, pts.shape[0], chunk):
             sl = slice(start, start + chunk)
@@ -348,34 +331,35 @@ def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, set_spec, v_plus: float,
                 + (pts[sl, 1, None] - src[None, :, 1]) ** 2
             )
             kern = _kernel_weights(d2, z, h, beta)
-            num[sl] = kern @ vals_flat
-            den[sl] = kern.sum(axis=1)
-            pos_in[sl] = kern @ pos_flat
-        return _normalized_rows(pts, z, num, den, pos_in, set_spec, v_plus,
-                                v_minus, lp, beta)
+            sums[0, sl] = kern @ vals_flat
+            sums[1, sl] = kern.sum(axis=1)
+            for k, ind in enumerate(inds):
+                sums[2 + k, sl] = kern @ ind
+        return _normalized_rows(pts, z, list(sums), halfplanes, pieces, lp, beta)
 
     return row
 
 
-def _extend_2d(hg: HalfGrid, trace_vals: np.ndarray, set_spec, v_plus: float,
-               v_minus: float, beta: float):
+def _extend_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
     """All lattice rows, level by level, as FFT convolutions.
 
     On the lattice the midpoint weight depends only on the index offset,
     so each level's in-lattice sums are one block-Toeplitz product: the
     kernel on the (2nx-1)^2 offset grid convolved with the trace, with
-    ones and with the positive-phase indicator. The transform size covers
-    the full linear convolution, so nothing wraps around.
+    ones and with the indicator of every half-plane the far step reads.
+    The transform size covers the full linear convolution, so nothing
+    wraps around.
     """
     nx = hg.padded_axis.size
     h = hg.grid.h
     pts = _lattice_points(hg)
-    pos = 0.5 * (set_spec.membership(pts).astype(float) + 1.0)
+    halfplanes = _lattice_halfplanes(pieces)
     size = next_fast_len(3 * nx - 2, real=True)
     shape = (size, size)
-    data_hat = rfft2(
-        np.stack([trace_vals, np.ones((nx, nx)), pos.reshape(nx, nx)]), s=shape
-    )
+    data = [trace_vals, np.ones((nx, nx))] + [
+        _halfplane_indicator(pts, term).reshape(nx, nx) for term in halfplanes
+    ]
+    data_hat = rfft2(np.stack(data), s=shape)
     d = h * np.arange(1 - nx, nx)
     d2 = d[:, None] ** 2 + d[None, :] ** 2
     valid = slice(nx - 1, 2 * nx - 1)
@@ -384,13 +368,27 @@ def _extend_2d(hg: HalfGrid, trace_vals: np.ndarray, set_spec, v_plus: float,
     for k, z in enumerate(hg.z_array()):
         z = float(z)
         kern_hat = rfft2(_kernel_weights(d2, z, h, beta), s=shape)
-        sums = irfft2(kern_hat * data_hat, s=shape)[:, valid, valid]
-        num, den, pos_in = (part.ravel() for part in sums)
+        sums = [part.ravel() for part in irfft2(kern_hat * data_hat, s=shape)[:, valid, valid]]
         out[k + 1] = _normalized_rows(
-            pts, z, num, den, pos_in, set_spec, v_plus, v_minus,
-            hg.padded_half_width, beta,
+            pts, z, sums, halfplanes, pieces, hg.padded_half_width, beta,
         ).reshape(nx, nx)
     return out
+
+
+def _extend(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
+    """Every level of the extension of a padded trace with the datum beyond."""
+    if hg.grid.dimension == 1:
+        return _extend_1d(hg, trace_vals, func_spec, beta)
+    pieces = datum_far_pieces(func_spec, hg.padded_half_width, 2)
+    return _extend_2d(hg, trace_vals, pieces, beta)
+
+
+def _make_row(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
+    """Evaluator: row(points, z) of the extension at any points."""
+    if hg.grid.dimension == 1:
+        return _make_row_1d(hg, trace_vals, func_spec, beta)
+    pieces = datum_far_pieces(func_spec, hg.padded_half_width, 2)
+    return _make_row_2d(hg, trace_vals, pieces, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +426,7 @@ def extend_scalar(u: DiscreteFunction, hg: HalfGrid, s: float) -> ExtendedField:
     if isinstance(func, ConstantF) and np.all(trace == func.value):
         shape = (len(hg.levels) + 1,) + trace.shape
         return ExtendedField(hg, np.full(shape, func.value), a)
-    if hg.grid.dimension == 1:
-        vals = _extend_1d(hg, trace, func, beta)
-    else:
-        if isinstance(func, ConstantF):
-            set_spec, v_plus, v_minus = FullSet(1), func.value, func.value
-        elif isinstance(func, IndicatorF):
-            set_spec, v_plus, v_minus = func.set_spec, func.amp, -func.amp
-        else:
-            raise IncompleteDatumError(
-                f"2D scalar extension needs constant or indicator far data, "
-                f"got {func!r}"
-            )
-        vals = _extend_2d(hg, trace, set_spec, v_plus, v_minus, beta)
-    return ExtendedField(hg, vals, a)
+    return ExtendedField(hg, _extend(hg, trace, func, beta), a)
 
 
 def extend_set(phases: PhaseSet, hg: HalfGrid, sigma: float) -> ExtendedField:
@@ -452,11 +437,7 @@ def extend_set(phases: PhaseSet, hg: HalfGrid, sigma: float) -> ExtendedField:
         lambda pts: set_spec.membership(pts).astype(float),
         hg,
     )
-    if hg.grid.dimension == 1:
-        vals = _extend_1d(hg, trace, IndicatorF(set_spec), sigma)
-    else:
-        vals = _extend_2d(hg, trace, set_spec, 1.0, -1.0, sigma)
-    field = ExtendedField(hg, vals, 1.0 - sigma)
+    field = ExtendedField(hg, _extend(hg, trace, IndicatorF(set_spec), sigma), 1.0 - sigma)
     if np.max(np.abs(field.values)) > 1.0 + 1e-9:
         raise InvalidSpecError("indicator extension left the unit range")
     return field
@@ -650,37 +631,13 @@ def _field_evaluators(pair: AdmissiblePair, hg: HalfGrid, params: FractionalPara
     )
     set_spec = phases.datum.set_spec
 
-    if g.dimension == 1:
-        trace_u = _padded_trace(lambda: u.values, u.datum.func.evaluate, hg)
-        trace_e = _padded_trace(
-            lambda: phases.indicator.astype(float),
-            lambda pts: set_spec.membership(pts).astype(float), hg,
-        )
-        row_u = None if scalar_const else _make_row_1d(
-            hg, trace_u, u.datum.func, 2.0 * params.s
-        )
-        row_e = _make_row_1d(hg, trace_e, IndicatorF(set_spec), params.sigma)
-    else:
-        trace_u = _padded_trace(lambda: u.values, u.datum.func.evaluate, hg)
-        trace_e = _padded_trace(
-            lambda: phases.indicator.astype(float),
-            lambda pts: set_spec.membership(pts).astype(float), hg,
-        )
-        if scalar_const:
-            row_u = None
-        elif isinstance(u.datum.func, ConstantF):
-            row_u = _make_row_2d(hg, trace_u, FullSet(1), u.datum.func.value,
-                                 u.datum.func.value, 2.0 * params.s)
-        elif isinstance(u.datum.func, IndicatorF):
-            fn = u.datum.func
-            row_u = _make_row_2d(hg, trace_u, fn.set_spec, fn.amp, -fn.amp,
-                                 2.0 * params.s)
-        else:
-            raise IncompleteDatumError(
-                f"2D pullback needs constant or indicator far data, got "
-                f"{u.datum.func!r}"
-            )
-        row_e = _make_row_2d(hg, trace_e, set_spec, 1.0, -1.0, params.sigma)
+    trace_u = _padded_trace(lambda: u.values, u.datum.func.evaluate, hg)
+    trace_e = _padded_trace(
+        lambda: phases.indicator.astype(float),
+        lambda pts: set_spec.membership(pts).astype(float), hg,
+    )
+    row_u = None if scalar_const else _make_row(hg, trace_u, u.datum.func, 2.0 * params.s)
+    row_e = _make_row(hg, trace_e, IndicatorF(set_spec), params.sigma)
 
     at_u = _cell_value_lookup(g, u.values, u.datum.func.evaluate)
     at_e = _cell_value_lookup(

@@ -21,6 +21,12 @@ arcs split at the line engine's feature directions. Both engines double
 the order arc by arc until the result meets its tolerance, and warn if
 the order cap stops them first.
 
+Both the energy and the Poisson extension read an exterior datum beyond
+a box as constant pieces (value, region) from datum_far_pieces: the
+table sums the pieces' tails into the moments T0, M1 and M2, and the
+extension rows add the pieces' far masses. Tabulated shells are clipped at
+the box, and a table starting beyond it is refused.
+
 For alpha >= 1 the exact integral over touching geometry diverges and
 fixed conventions replace it: the closed-form convention in 1D; in 2D the
 midpoint value for touching pairs, and for tails a dyadic subdivision of
@@ -106,10 +112,11 @@ def _point_piece_1d(p, a, b, alpha):
 def _subdivided_pair_weight_1d(a, b, c, d, alpha, depth):
     """Dyadic subdivision of a touching 1D pair with midpoint leaves.
 
-    Kept as the cross-check companion of the closed form (alpha < 1) and
-    as the depth-limited regularization of the divergent touching integral
-    (alpha >= 1). Cost is linear in depth: each split leaves exactly one
-    touching sub-pair, the separated sub-pairs are evaluated exactly.
+    No computation uses it: it is the independent reference against which
+    the tests check the touching closed form at alpha < 1 (at alpha >= 1
+    the tables take _consistent_touch_1d instead). Cost is linear in depth:
+    each split leaves exactly one touching sub-pair, the separated
+    sub-pairs are evaluated exactly.
     """
     parts = []
     for _ in range(depth):
@@ -429,8 +436,6 @@ def _set_breakpoints_1d(set_spec):
         return [c - set_spec.radius, c + set_spec.radius]
     if isinstance(set_spec, SectorSet):
         return [0.0]
-    if hasattr(set_spec, "edges"):
-        return [e for e in set_spec.edges] + [-e for e in set_spec.edges]
     return []
 
 
@@ -473,13 +478,54 @@ def _complement_terms(terms):
     return tuple([(1.0, None)] + [(-c, t) for c, t in terms])
 
 
-def set_exterior_regions(set_spec, grid: Grid):
-    """Regions (E0 minus box, E0 complement minus box) for a phase set."""
-    L = grid.spec.half_width
-    if grid.dimension == 1:
+def _set_regions(set_spec, L: float, dimension: int):
+    if dimension == 1:
         return _set_regions_1d(set_spec, L)
     pos = tuple(_set_terms_2d(set_spec))
     return Region2D(L, pos), Region2D(L, _complement_terms(pos))
+
+
+def set_exterior_regions(set_spec, grid: Grid):
+    """Regions (E0 minus box, E0 complement minus box) for a phase set."""
+    return _set_regions(set_spec, grid.spec.half_width, grid.dimension)
+
+
+def datum_far_pieces(func_spec, L: float, dimension: int):
+    """The datum beyond the box [-L, L]^n as constant pieces (value, region)
+    whose regions partition the box exterior.
+
+    A constant is one piece; an indicator is +amp on its set's region and
+    -amp on the complement's. A 1D table is one piece per shell and side
+    plus the two far rays, with the shells clipped at L; a first edge
+    beyond L leaves (L, e0) uncovered, an error like a missing far value.
+    Homogeneous profiles and every other datum have no constant pieces.
+    """
+    if isinstance(func_spec, ConstantF):
+        return [(func_spec.value, _set_regions(FullSet(1), L, dimension)[0])]
+    if isinstance(func_spec, IndicatorF):
+        pos, neg = _set_regions(func_spec.set_spec, L, dimension)
+        return [(func_spec.amp, pos), (-func_spec.amp, neg)]
+    if not isinstance(func_spec, TabulatedF):
+        raise IncompleteDatumError(f"datum {func_spec!r} has no constant far-field pieces")
+    if dimension != 1:
+        raise IncompleteDatumError("tabulated data supported in 1D only")
+    edges = func_spec.edges
+    if func_spec.far_value is None:
+        raise IncompleteDatumError("tabulated datum lacks coverage beyond its last shell")
+    if edges[0] > L:
+        raise IncompleteDatumError(
+            f"tabulated datum leaves ({L:g}, {edges[0]:g}) beyond the box uncovered"
+        )
+    pieces = []
+    for k in range(len(edges) - 1):
+        if edges[k + 1] > L:
+            lo = max(edges[k], L)
+            pieces.append((func_spec.right[k], interval_region(lo, edges[k + 1])))
+            pieces.append((func_spec.left[k], interval_region(-edges[k + 1], -lo)))
+    far = max(edges[-1], L)
+    pieces.append((func_spec.far_value, ray_region(far, +1)))
+    pieces.append((func_spec.far_value, ray_region(-far, -1)))
+    return pieces
 
 
 def point_region_integral(p, region, alpha: float, tol: float = 1e-8) -> float:
@@ -1280,59 +1326,30 @@ class KernelTable:
         T0_i integrates the bare kernel over C_i x box^c, M1_i the datum
         against the kernel, M2_i the squared datum. Every supported datum
         reduces to this triple, which is all the energy and the operator
-        need of the far field. M2 can be skipped (operator use): square
-        moments of a growing profile may diverge while M1 still exists.
+        need of the far field: sums over the pieces of datum_far_pieces, or
+        exact quadrature for a homogeneous profile. M2 can be skipped
+        (operator use): square moments of a growing profile may diverge
+        while M1 still exists.
         """
         key = ("moments", func_spec, bool(need_m2))
         if key in self._tail_cache:
             return self._tail_cache[key]
-        if isinstance(func_spec, ConstantF):
-            pos, neg = set_exterior_regions(FullSet(1), self.grid)
-            t0 = self.region_tails(pos) + self.region_tails(neg)
-            v = func_spec.value
-            out = (t0, v * t0, v * v * t0)
-        elif isinstance(func_spec, IndicatorF):
-            tp, tn = self.set_tails(func_spec.set_spec)
-            a = func_spec.amp
-            out = (tp + tn, a * (tp - tn), a * a * (tp + tn))
-        elif isinstance(func_spec, TabulatedF):
-            out = self._tabulated_moments(func_spec)
-        elif isinstance(func_spec, ConeF):
+        g = self.grid
+        if isinstance(func_spec, ConeF):
             out = self._cone_moments(func_spec, need_m2)
         else:
-            raise IncompleteDatumError(
-                f"datum {func_spec!r} has no analytic tail for energy terms"
-            )
+            t0, m1, m2 = (np.zeros(g.n_cells) for _ in range(3))
+            for value, region in datum_far_pieces(func_spec, g.spec.half_width, g.dimension):
+                t = self.region_tails(region)
+                t0 = t0 + t
+                m1 = m1 + value * t
+                m2 = m2 + value * value * t
+            out = (t0, m1, m2)
         for arr in out:
             if arr is not None:
                 arr.setflags(write=False)
         self._tail_cache[key] = out
         return out
-
-    def _tabulated_moments(self, func: TabulatedF):
-        g = self.grid
-        if g.dimension != 1:
-            raise IncompleteDatumError("tabulated data supported in 1D only")
-        if func.far_value is None:
-            raise IncompleteDatumError(
-                "tabulated datum lacks coverage beyond its last shell"
-            )
-        pieces = []
-        edges = list(func.edges)
-        for k in range(len(edges) - 1):
-            pieces.append((func.right[k], interval_region(edges[k], edges[k + 1])))
-            pieces.append((func.left[k], interval_region(-edges[k + 1], -edges[k])))
-        pieces.append((func.far_value, ray_region(edges[-1], +1)))
-        pieces.append((func.far_value, ray_region(-edges[-1], -1)))
-        t0 = np.zeros(g.n_cells)
-        m1 = np.zeros(g.n_cells)
-        m2 = np.zeros(g.n_cells)
-        for val, reg in pieces:
-            t = self.region_tails(reg)
-            t0 = t0 + t
-            m1 = m1 + val * t
-            m2 = m2 + val * val * t
-        return t0, m1, m2
 
     def _cone_moments(self, func: ConeF, need_m2: bool = True):
         """Datum moments for a homogeneous profile, by adaptive quadrature.

@@ -99,6 +99,23 @@ def test_summary_values_recomputable_from_csv(tmp_path):
     assert report.scalars["total"] == tot
 
 
+def test_minimize_reports_the_compensated_energy(tmp_path):
+    # the constant datum's minimizer is the constant: its expanded quadratic
+    # ends at about -1.4e-14, the compensated Gagliardo sum is nonnegative
+    cfg = minimal_config(
+        tmp_path,
+        experiment="minimize",
+        grid={"dimension": 2, "half_width": 0.75, "cells_per_side": 12,
+              "truncation_radius": 48.0, "domain_radius": 0.75},
+        fractional={"s": 0.3, "sigma": 0.6},
+        datum={"kind": "constant", "value": 1.0},
+    )
+    report = run_experiment(validate_config(cfg))
+    assert report.scalars["gagliardo"] >= 0.0
+    assert report.scalars["perimeter"] == 0.0
+    assert report.scalars["total"] == report.scalars["gagliardo"]
+
+
 def test_comparison_constant_datum(tmp_path):
     cfg = minimal_config(
         tmp_path,

@@ -21,8 +21,10 @@ from fracfree.model import (
     DiscreteFunction,
     ExteriorDatum,
     HalfspaceSet,
+    IndicatorF,
     cone_datum,
 )
+from fracfree.quadrature import datum_far_pieces
 from fracfree.extension import (
     ExtendedField,
     cone_defect,
@@ -244,6 +246,12 @@ def test_cone_defect_checks_every_radius_before_building(monkeypatch):
         cone_defect(pair, [0.5, 8.0], hg, params)
 
 
+def _indicator_pieces(set_spec, lp, v_plus, v_minus):
+    """2D far-field pieces of a set with v_plus on it and v_minus beyond."""
+    (_, pos), (_, neg) = datum_far_pieces(IndicatorF(set_spec), lp, 2)
+    return [(v_plus, pos), (v_minus, neg)]
+
+
 @pytest.mark.parametrize("set_spec, levels", [
     (HalfspaceSet((1.0, 2.0), 0.3), 8),      # exact far mass
     (BallSet((0.5, -0.25), 3.0, -1), 2),     # angular far masses
@@ -256,8 +264,9 @@ def test_lattice_convolution_matches_direct_rows(set_spec, levels):
     nx = hg.padded_axis.size
     trace = np.random.RandomState(5).uniform(-1.0, 1.0, (nx, nx))
     beta = 0.7
-    fft_vals = _extend_2d(hg, trace, set_spec, 0.6, -0.9, beta)
-    row = _make_row_2d(hg, trace, set_spec, 0.6, -0.9, beta)
+    pieces = _indicator_pieces(set_spec, hg.padded_half_width, 0.6, -0.9)
+    fft_vals = _extend_2d(hg, trace, pieces, beta)
+    row = _make_row_2d(hg, trace, pieces, beta)
     pts = _lattice_points(hg)
     direct = np.stack([row(pts, z).reshape(nx, nx) for z in hg.z_array()])
     assert np.array_equal(fft_vals[0], trace)
@@ -311,7 +320,7 @@ def _ball_far_masses_by_quad(p, lp, center, radius, cdf):
 def test_ball_far_masses_match_per_arc_quad():
     # the geometry of the ball case of the lattice test above: every node
     # of both levels, outside and inside the ball beyond the padded box
-    from fracfree.extension import _lattice_points, _poisson_region_masses
+    from fracfree.extension import _lattice_points, _point_far_masses
 
     g = build_grid(GridSpec(2, 2.0, 6, 128.0, 1.5))
     hg = make_half_grid(g, levels=2, ratio=1.6, pad_cells=1)
@@ -321,7 +330,8 @@ def test_ball_far_masses_match_per_arc_quad():
     for z in hg.z_array():
         z = float(z)
         cdf = lambda t: z**beta * (t * t + z * z) ** (-0.5 * beta) / (2.0 * math.pi)
-        far_pos, far_neg = _poisson_region_masses(pts, z, set_spec, lp, beta)
+        far_pos, far_neg = _point_far_masses(
+            pts, z, _indicator_pieces(set_spec, lp, 1.0, -1.0), lp, beta)
         ref = np.array([_ball_far_masses_by_quad(p, lp, set_spec.center,
                                                  set_spec.radius, cdf) for p in pts])
         assert np.max(np.abs(far_pos / ref[:, 0] - 1.0)) <= 1e-10
@@ -352,3 +362,32 @@ def test_cone_defect_reuses_annulus_fractions_bit_for_bit(monkeypatch):
     monkeypatch.setattr(extension, "weighted_dirichlet",
                         lambda field, r, a=None, frac=None: dirichlet(field, r, a))
     assert cone_defect(pair, radii, hg, params) == shared
+
+
+def test_tabulated_shells_clip_at_the_box_and_gaps_are_refused():
+    # energy tails at the box, 1D extension rows at the padded box: a table
+    # starting inside the box is clipped there and matches the table that
+    # starts at the box; one starting beyond leaves a gap and is refused
+    from fracfree import IncompleteDatumError, assemble_table, tabulated_datum
+    from fracfree.model import FullSet
+
+    g = build_grid(GridSpec(1, 2.0, 8, 128.0, 1.0))
+    table = assemble_table(g, 0.5)
+
+    def datum(edges):
+        return tabulated_datum(edges, (0.7, 0.3), (-0.2, -0.5), 0.4, FullSet(1))
+
+    def extension(d, pad):
+        u = DiscreteFunction(g, np.linspace(-0.3, 0.6, g.n_cells), d)
+        return extend_scalar(u, make_half_grid(g, levels=4, pad_cells=pad), 0.4).values
+
+    inside, at_box = datum((1.0, 3.0, 5.0)), datum((2.0, 3.0, 5.0))
+    for a, b in zip(table.function_tails(inside.func), table.function_tails(at_box.func)):
+        assert np.array_equal(a, b)
+    for pad in (0, 1):   # padded half-width 2 and 2.5
+        assert np.array_equal(extension(inside, pad), extension(at_box, pad))
+    gap = datum((3.0, 4.0, 5.0))
+    with pytest.raises(IncompleteDatumError, match=r"\(2, 3\)"):
+        table.function_tails(gap.func)
+    with pytest.raises(IncompleteDatumError, match=r"\(2, 3\)"):
+        extension(gap, 0)

@@ -15,16 +15,26 @@ from fracfree import (
 from fracfree.numerics import set_worker_cap
 from fracfree.quadrature import (
     Region1D,
+    Region2D,
     _cell_perimeter,
     _HalfplaneTerm,
     _line_cell_tail,
     _pair_weight_polar_2d,
     _subdivided_pair_weight_1d,
+    datum_far_pieces,
     interval_region,
     ray_region,
     set_exterior_regions,
 )
-from fracfree.model import BallSet, FullSet, HalfspaceSet, SectorSet
+from fracfree.model import (
+    BallSet,
+    ConstantF,
+    FullSet,
+    HalfspaceSet,
+    IndicatorF,
+    SectorSet,
+    TabulatedF,
+)
 
 C1 = ((0.0,), (1.0,))
 C2 = ((1.0,), (2.0,))
@@ -589,3 +599,64 @@ def test_2d_tail_of_a_ball_across_the_box_boundary_against_tensor_gauss():
         dist = np.linalg.norm(pts[:, None, :] - ys[None, :, :], axis=-1)
         ref += wcell @ dist ** (-(2.0 + alpha)) @ w.ravel()
     assert got == pytest.approx(ref, rel=1e-11)
+
+
+_FAR_DATA_1D = [
+    ConstantF(-0.7),
+    IndicatorF(HalfspaceSet((1.0,), 0.3), 0.4),
+    IndicatorF(BallSet((0.3,), 2.7), -1.3),
+    IndicatorF(FullSet(1)),
+    IndicatorF(FullSet(-1)),
+    TabulatedF((2.0, 3.0, 5.0), (0.7, 0.3), (-0.2, -0.5), 0.4),
+    TabulatedF((1.0, 3.0, 5.0), (0.7, 0.3), (-0.2, -0.5), 0.4),   # clipped at L
+]
+_FAR_DATA_2D = [
+    ConstantF(0.7),
+    IndicatorF(HalfspaceSet((1.0, 2.0), 0.3)),
+    IndicatorF(BallSet((0.5, -0.25), 1.5)),
+    IndicatorF(BallSet((0.5, -0.25), 1.5, -1)),
+    IndicatorF(SectorSet(2, ((0.3, 2.2),))),
+]
+
+
+@pytest.mark.parametrize("dim, func", [(1, f) for f in _FAR_DATA_1D]
+                         + [(2, f) for f in _FAR_DATA_2D])
+def test_far_pieces_partition_the_box_exterior(dim, func):
+    m = 16 if dim == 1 else 4
+    g = build_grid(GridSpec(dim, 2.0, m, 128.0, 1.0))
+    L = g.spec.half_width
+    whole = Region1D(((L, math.inf), (-math.inf, -L))) if dim == 1 else Region2D(L, ((1.0, None),))
+    for alpha in ((0.5, 1.2) if dim == 1 else (0.5,)):
+        table = assemble_table(g, alpha)
+        pieces = datum_far_pieces(func, L, dim)
+        total = sum(table.region_tails(region) for _, region in pieces)
+        ref = table.region_tails(whole)
+        assert np.max(np.abs(total / ref - 1.0)) <= 1e-13
+        t0, m1, _ = table.function_tails(func)
+        assert np.array_equal(t0, total)
+        assert np.allclose(m1, sum(v * table.region_tails(r) for v, r in pieces),
+                           rtol=1e-15, atol=0.0)
+
+
+def test_tabulated_first_moment_against_quad():
+    # M1_i = integral of the datum against the cell kernel, by scipy quad
+    # on every shell; the first table starts inside the box (clipped)
+    from scipy.integrate import quad
+
+    alpha = 0.5
+    g = build_grid(GridSpec(1, 2.0, 8, 128.0, 1.0))
+    L, h = g.spec.half_width, g.h
+    func = TabulatedF((1.0, 3.0, 5.0), (0.7, 0.3), (-0.2, -0.5), 0.4)
+    _, m1, _ = assemble_table(g, alpha).function_tails(func)
+    cuts = [L, 3.0, 5.0, math.inf]
+    for i, x in enumerate(g.centers[:, 0]):
+        e, f = x - 0.5 * h, x + 0.5 * h
+        ref = 0.0
+        for sign in (1.0, -1.0):
+            def integrand(t, sign=sign):
+                y = sign * t  # |y| = t beyond the box on that side
+                kern = (abs(y - f) ** -alpha - abs(y - e) ** -alpha) * sign / alpha
+                return func.evaluate(np.array([[y]]))[0] * kern
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                ref += quad(integrand, a, b, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+        assert m1[i] == pytest.approx(ref, rel=1e-9)
