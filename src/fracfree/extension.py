@@ -9,7 +9,9 @@ carried. The datum beyond the padded box enters as the constant pieces of
 use; only a homogeneous profile in 1D is sampled on stretch blocks
 instead. In 2D the rows at lattice nodes are FFT convolutions (the
 midpoint kernel depends only on the index offset) and rows at off-lattice
-nodes are direct sums; both share one far-field step and are unit-mass.
+nodes are one fused contraction of a separable distance table with the
+trace, ones and the half-plane indicators; both share one far-field step
+and are unit-mass.
 That step is exact when every term of the pieces is the whole plane or a
 half-plane; otherwise each term's mass beyond the padded box comes from
 the split-arc point rule of ``quadrature`` (exact radial mass per ray,
@@ -160,14 +162,17 @@ class ExtendedField:
 # ---------------------------------------------------------------------------
 # 1D extension
 
-def _far_pieces_1d(func_spec, lp: float, z_top: float):
-    """Triples (lo, hi, value) describing the datum beyond half-width lp:
+def _far_pieces_1d(hg: HalfGrid, func_spec):
+    """Triples (lo, hi, value) describing the datum beyond the padded box:
     the pieces of datum_far_pieces, or stretch blocks sampling a
-    homogeneous profile."""
+    homogeneous profile. The padding is the datum's own values, so its
+    coverage is checked at the box, where the energy tails check it."""
+    lp = hg.padded_half_width
     if not isinstance(func_spec, ConeF):
+        datum_far_pieces(func_spec, hg.grid.spec.half_width, 1)
         return [(a, b, value) for value, region in datum_far_pieces(func_spec, lp, 1)
                 for a, b in region.pieces]
-    blocks = _stretch_blocks(lp, z_top)
+    blocks = _stretch_blocks(lp, float(hg.z_array()[-1]))
     mids = 0.5 * (blocks[:-1] + blocks[1:])
     out = []
     for side in (1.0, -1.0):
@@ -190,7 +195,7 @@ def _make_row_1d(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
     axis = hg.padded_axis
     h = hg.grid.h
     edges = np.concatenate([axis - 0.5 * h, [axis[-1] + 0.5 * h]])
-    pieces = _far_pieces_1d(func_spec, hg.padded_half_width, float(hg.z_array()[-1]))
+    pieces = _far_pieces_1d(hg, func_spec)
     p_lo = np.array([p[0] for p in pieces])
     p_hi = np.array([p[1] for p in pieces])
     p_val = np.array([p[2] for p in pieces])
@@ -309,33 +314,36 @@ def _lattice_points(hg: HalfGrid) -> np.ndarray:
 def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
     """Evaluator: row(points, z) of the 2D extension at arbitrary points.
 
-    Direct midpoint sums over the lattice plus the far field of
-    _normalized_rows. Used for off-lattice nodes; lattice nodes go
-    through the FFT convolution of _extend_2d.
+    Midpoint sums over the lattice plus the far field of _normalized_rows.
+    Used for off-lattice nodes; lattice nodes go through the FFT
+    convolution of _extend_2d. The sources are the padded lattice, so a
+    node's squared distances are an outer sum of per-axis terms, raised to
+    the kernel power in place and contracted once against the trace, ones
+    and every half-plane indicator; the constant c2 z^beta h^2 scales the
+    sums, not the kernel entries.
     """
     lp = hg.padded_half_width
     h = hg.grid.h
-    src = _lattice_points(hg)
-    vals_flat = trace_vals.ravel()
+    axis = hg.padded_axis
+    nx = axis.size
     halfplanes = _lattice_halfplanes(pieces)
-    inds = [_halfplane_indicator(src, term) for term in halfplanes]
+    src = _lattice_points(hg)
+    rhs = np.stack([trace_vals.ravel(), np.ones(nx * nx)]
+                   + [_halfplane_indicator(src, term) for term in halfplanes], axis=1)
+    chunk = max(1, 2**23 // (nx * nx))
 
     def row(pts: np.ndarray, z: float) -> np.ndarray:
         z = float(z)
-        sums = np.zeros((2 + len(inds), pts.shape[0]))
-        chunk = max(1, 2**23 // max(1, src.shape[0]))
+        sums = np.empty((pts.shape[0], rhs.shape[1]))
         for start in range(0, pts.shape[0], chunk):
             sl = slice(start, start + chunk)
-            d2 = (
-                (pts[sl, 0, None] - src[None, :, 0]) ** 2
-                + (pts[sl, 1, None] - src[None, :, 1]) ** 2
-            )
-            kern = _kernel_weights(d2, z, h, beta)
-            sums[0, sl] = kern @ vals_flat
-            sums[1, sl] = kern.sum(axis=1)
-            for k, ind in enumerate(inds):
-                sums[2 + k, sl] = kern @ ind
-        return _normalized_rows(pts, z, list(sums), halfplanes, pieces, lp, beta)
+            dx2 = (pts[sl, 0, None] - axis) ** 2 + z * z
+            dy2 = (pts[sl, 1, None] - axis) ** 2
+            d2 = (dx2[:, :, None] + dy2[:, None, :]).reshape(-1, nx * nx)
+            np.power(d2, -0.5 * (2.0 + beta), out=d2)
+            np.matmul(d2, rhs, out=sums[sl])
+        sums *= beta / (2.0 * math.pi) * z**beta * h * h
+        return _normalized_rows(pts, z, list(sums.T), halfplanes, pieces, lp, beta)
 
     return row
 
@@ -716,27 +724,23 @@ def cone_defect(pair: AdmissiblePair, radii, hg: HalfGrid,
     uset = extend_set(pair.phases, hg, params.sigma)
     ev_u, ev_e = _field_evaluators(pair, hg, params)
 
-    def energy(fs_vals, fu_vals, r_cut, frac):
-        fs = ExtendedField(hg, fs_vals, ubar.weight_exponent)
-        fu = ExtendedField(hg, fu_vals, uset.weight_exponent)
+    def pulled(base, evaluator, direction, r_cut):
+        # unmoved values keep the field itself, and with it its cached gradient
+        vals = _pulled_values(base, evaluator, direction, r_cut)
+        return base if vals is base.values else ExtendedField(hg, vals, base.weight_exponent)
+
+    def energy(fs, fu, r_cut, frac):
         return (weighted_dirichlet(fs, r_cut, frac=frac)
                 + params.c_ratio * weighted_dirichlet(fu, r_cut, frac=frac))
 
     defects = []
     for r_cut in radii:
         frac = annulus_fractions(hg, 0.0, r_cut)
-        base = energy(ubar.values, uset.values, r_cut, frac)
-        plus = energy(
-            _pulled_values(ubar, ev_u, +1.0, r_cut),
-            _pulled_values(uset, ev_e, +1.0, r_cut),
-            r_cut,
-            frac,
-        )
-        minus = energy(
-            _pulled_values(ubar, ev_u, -1.0, r_cut),
-            _pulled_values(uset, ev_e, -1.0, r_cut),
-            r_cut,
-            frac,
+        base = energy(ubar, uset, r_cut, frac)
+        plus, minus = (
+            energy(pulled(ubar, ev_u, sign, r_cut), pulled(uset, ev_e, sign, r_cut),
+                   r_cut, frac)
+            for sign in (+1.0, -1.0)
         )
         defects.append((plus - base) + (minus - base))
     return defects

@@ -109,26 +109,6 @@ def _point_piece_1d(p, a, b, alpha):
 # ---------------------------------------------------------------------------
 # subdivision / regularization for touching pairs
 
-def _subdivided_pair_weight_1d(a, b, c, d, alpha, depth):
-    """Dyadic subdivision of a touching 1D pair with midpoint leaves.
-
-    No computation uses it: it is the independent reference against which
-    the tests check the touching closed form at alpha < 1 (at alpha >= 1
-    the tables take _consistent_touch_1d instead). Cost is linear in depth:
-    each split leaves exactly one touching sub-pair, the separated
-    sub-pairs are evaluated exactly.
-    """
-    parts = []
-    for _ in range(depth):
-        am, cm = 0.5 * (a + b), 0.5 * (c + d)
-        parts.append(float(_pair_weight_1d(a, am, c, cm, alpha)))
-        parts.append(float(_pair_weight_1d(a, am, cm, d, alpha)))
-        parts.append(float(_pair_weight_1d(am, b, cm, d, alpha)))
-        a, d = am, cm
-    parts.append((b - a) * (d - c) * (0.5 * (c + d) - 0.5 * (a + b)) ** (-(1.0 + alpha)))
-    return ordered_sum(parts)
-
-
 def _consistent_touch_1d(h: float, alpha: float) -> float:
     """Convention for the divergent 1D touching weight at alpha >= 1.
 
@@ -526,29 +506,6 @@ def datum_far_pieces(func_spec, L: float, dimension: int):
     pieces.append((func_spec.far_value, ray_region(far, +1)))
     pieces.append((func_spec.far_value, ray_region(-far, -1)))
     return pieces
-
-
-def point_region_integral(p, region, alpha: float, tol: float = 1e-8) -> float:
-    """Integral of |p-y|^(-(n+alpha)) over an exterior region."""
-    _check_alpha(alpha)
-    if isinstance(region, Region1D):
-        if region.is_empty():
-            return 0.0
-        px = float(np.atleast_1d(p)[0])
-        parts = []
-        for a, b in region.pieces:
-            if a <= px <= b:
-                raise GeometryError("region overlaps the evaluation point")
-            if px < a:
-                parts.append(_point_piece_1d(px, a, b, alpha))
-            else:
-                parts.append(_point_piece_1d(-px, -b, -a, alpha))
-        return ordered_sum(parts)
-    pts = np.asarray(p, dtype=float).reshape(1, 2)
-    cdf = lambda t: t ** (-alpha) / alpha
-    return ordered_sum([coef * _point_term_mass(pts, np.ones(1), region.box_half, term,
-                                                cdf, tol)
-                        for coef, term in region.terms])
 
 
 def _regularized_ray_1d(e, f, a, b, alpha):

@@ -22,6 +22,7 @@ from fracfree.model import (
     ExteriorDatum,
     HalfspaceSet,
     IndicatorF,
+    PhaseSet,
     cone_datum,
 )
 from fracfree.quadrature import datum_far_pieces
@@ -391,3 +392,91 @@ def test_tabulated_shells_clip_at_the_box_and_gaps_are_refused():
         table.function_tails(gap.func)
     with pytest.raises(IncompleteDatumError, match=r"\(2, 3\)"):
         extension(gap, 0)
+    # the padding (2, 2.5) is filled from the datum itself, so a first edge
+    # inside it still leaves (2, 2.25) uncovered
+    with pytest.raises(IncompleteDatumError, match=r"\(2, 2.25\)"):
+        extension(datum((2.25, 3.0, 5.0)), 1)
+
+
+def _reference_rows(hg, trace, pieces, pts, z, beta):
+    """Off-lattice rows by an explicit loop over the source cells of
+    c2 z^beta (d^2 + z^2)^(-(2+beta)/2) h^2, with the far step on top."""
+    from fracfree.extension import _lattice_halfplanes, _normalized_rows
+
+    h = hg.grid.h
+    c2 = beta / (2.0 * math.pi)
+    halfplanes = _lattice_halfplanes(pieces)
+    sums = np.zeros((2 + len(halfplanes), pts.shape[0]))
+    for p, (px, py) in enumerate(pts):
+        for i, sx in enumerate(hg.padded_axis):
+            for j, sy in enumerate(hg.padded_axis):
+                w = c2 * z**beta * ((px - sx) ** 2 + (py - sy) ** 2 + z * z) ** (
+                    -0.5 * (2.0 + beta)) * h * h
+                sums[0, p] += w * trace[i, j]
+                sums[1, p] += w
+                for k, term in enumerate(halfplanes):
+                    side = term.normal[0] * sx + term.normal[1] * sy - term.offset
+                    sums[2 + k, p] += w * (side > 0.0)
+    return _normalized_rows(pts, z, list(sums), halfplanes, pieces,
+                            hg.padded_half_width, beta)
+
+
+@pytest.mark.parametrize("set_spec", [
+    HalfspaceSet((1.0, 2.0), 0.3),          # exact far mass
+    BallSet((0.5, -0.25), 3.0, -1),         # point-rule far masses
+])
+def test_off_lattice_rows_match_a_per_point_reference(set_spec):
+    # lattice nodes displaced by random x-shifts within half a cell, as the
+    # pulled nodes of the cone-defect probe are, and kept inside the padded
+    # box as the point rule needs
+    from fracfree.extension import _lattice_points, _make_row_2d
+
+    g = build_grid(GridSpec(2, 2.0, 6, 128.0, 1.5))
+    hg = make_half_grid(g, levels=2, ratio=1.6, pad_cells=1)  # 8x8 lattice
+    nx = hg.padded_axis.size
+    rng = np.random.RandomState(11)
+    trace = rng.uniform(-1.0, 1.0, (nx, nx))
+    pts = _lattice_points(hg)
+    pts[:, 0] += 0.5 * g.h * rng.uniform(-1.0, 1.0, pts.shape[0])
+    beta = 0.7
+    pieces = _indicator_pieces(set_spec, hg.padded_half_width, 0.6, -0.9)
+    row = _make_row_2d(hg, trace, pieces, beta)
+    for z in hg.z_array():
+        ref = _reference_rows(hg, trace, pieces, pts, float(z), beta)
+        assert np.max(np.abs(row(pts, z) - ref)) <= 1e-13
+    const = datum_far_pieces(ConstantF(0.37), hg.padded_half_width, 2)
+    flat = _make_row_2d(hg, np.full((nx, nx), 0.37), const, beta)
+    for z in hg.z_array():
+        assert np.max(np.abs(flat(pts, z) - 0.37)) <= 1e-15
+
+
+def test_cone_defect_reuses_unmoved_gradients_bit_for_bit(monkeypatch):
+    # the cone2d pair: u = 0 is never moved, so ubar keeps one gradient for
+    # every radius and direction; uset is computed once plus once per
+    # displaced copy: 2 + 3 radii x 2 directions, not 3 x 3 x 2
+    params = FractionalParams(0.75, 0.5)
+    g = build_grid(GridSpec(2, 6.0, 16, 384.0, 5.5))
+    set_spec = HalfspaceSet((1.0, 0.0), 0.0)
+    datum = ExteriorDatum(ConstantF(0.0), set_spec)
+    pair = make_pair(DiscreteFunction(g, np.zeros(g.n_cells), datum),
+                     PhaseSet(g, set_spec.membership(g.centers), datum))
+    hg = make_half_grid(g, ratio=1.3, z_first=0.375, levels=12, pad_cells=3)
+    radii = [1.0, 2.0, 4.0]
+    gradient = ExtendedField.gradient_squared
+    computed = []
+
+    def counted(field):
+        if field._grad2 is None:
+            computed.append(field)
+        return gradient(field)
+
+    monkeypatch.setattr(ExtendedField, "gradient_squared", counted)
+    cached = cone_defect(pair, radii, hg, params)
+    assert len(computed) == 8
+
+    def uncached(field):
+        field._grad2 = None
+        return gradient(field)
+
+    monkeypatch.setattr(ExtendedField, "gradient_squared", uncached)
+    assert cone_defect(pair, radii, hg, params) == cached

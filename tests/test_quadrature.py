@@ -12,15 +12,16 @@ from fracfree import (
     cell_pair_weight,
     tail_weight,
 )
-from fracfree.numerics import set_worker_cap
+from fracfree.numerics import ordered_sum, set_worker_cap
 from fracfree.quadrature import (
     Region1D,
     Region2D,
     _cell_perimeter,
     _HalfplaneTerm,
     _line_cell_tail,
+    _pair_weight_1d,
     _pair_weight_polar_2d,
-    _subdivided_pair_weight_1d,
+    _point_term_mass,
     datum_far_pieces,
     interval_region,
     ray_region,
@@ -89,6 +90,31 @@ def test_tail_monotone_under_translation():
 def test_tail_overlap_is_geometry_error():
     with pytest.raises(GeometryError):
         tail_weight(C1, ray_region(0.5, +1), 0.5)
+
+
+def _subdivided_pair_weight_1d(a, b, c, d, alpha, depth):
+    """Dyadic subdivision of a touching 1D pair with midpoint leaves, the
+    independent reference for the touching closed form at alpha < 1. Each
+    split leaves one touching sub-pair; the separated ones are exact."""
+    parts = []
+    for _ in range(depth):
+        am, cm = 0.5 * (a + b), 0.5 * (c + d)
+        parts.append(float(_pair_weight_1d(a, am, c, cm, alpha)))
+        parts.append(float(_pair_weight_1d(a, am, cm, d, alpha)))
+        parts.append(float(_pair_weight_1d(am, b, cm, d, alpha)))
+        a, d = am, cm
+    parts.append((b - a) * (d - c) * (0.5 * (c + d) - 0.5 * (a + b)) ** (-(1.0 + alpha)))
+    return ordered_sum(parts)
+
+
+def _point_region_integral(p, region, alpha, tol=1e-8):
+    """Integral of |p-y|^(-(2+alpha)) over a 2D exterior region, by the
+    split-arc point rule with the radial mass t^(-alpha)/alpha."""
+    pts = np.asarray(p, dtype=float).reshape(1, 2)
+    cdf = lambda t: t ** (-alpha) / alpha
+    return ordered_sum([coef * _point_term_mass(pts, np.ones(1), region.box_half, term,
+                                                cdf, tol)
+                        for coef, term in region.terms])
 
 
 def test_1d_subdivision_cross_checks_closed_form():
@@ -287,10 +313,9 @@ def test_tail_weight_2d_halfplane_against_1d_marginal():
     ref = 0.0
     hq = 0.5 / 7
     # integrate kernel against region numerically in polar around each node
-    from fracfree.quadrature import point_region_integral
     for x0 in xs:
         for x1 in xs:
-            ref += point_region_integral((x0, x1), pos, alpha, tol=1e-9) * hq * hq
+            ref += _point_region_integral((x0, x1), pos, alpha, tol=1e-9) * hq * hq
     assert t == pytest.approx(ref, rel=2e-2)
 
 
@@ -550,7 +575,7 @@ def test_angular_quadrature_warns_at_its_cap(monkeypatch):
     g = build_grid(GridSpec(2, 1.0, 2, 64.0, 1.0))
     pos, _ = set_exterior_regions(HalfspaceSet((1.0, 0.0), 0.0), g)
     with pytest.warns(RuntimeWarning, match="point integral stopped at order 16"):
-        q.point_region_integral((-0.5, -0.5), pos, 0.5, tol=1e-15)
+        _point_region_integral((-0.5, -0.5), pos, 0.5, tol=1e-15)
 
 
 def test_line_tail_warns_at_its_order_cap(monkeypatch):
