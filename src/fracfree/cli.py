@@ -400,6 +400,7 @@ def _run_oracle(cfg, run_dir):
         "oracle_total": e_orc,
         "gap": e_alt - e_orc,
         "patterns": int(oracle.landscape.size),
+        "polish_fallbacks": oracle.polish_fallbacks,
     }
     verdicts = {
         "oracle_dominance": e_alt >= e_orc - 1e-9,

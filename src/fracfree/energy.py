@@ -9,9 +9,10 @@ moment triples served by the kernel table.
 Each energy term is one form object, GagliardoForm (a quadratic in the
 in-ball values) and PerimeterForm (a quadratic in the in-ball phase
 signs), built from the same split of the table by a cell mask. A form
-serves the expanded quadratic (the solver's fast path), its exterior tail
-term, and a compensated pair-by-pair sum of the same value, which
-gagliardo_energy, frac_perimeter and total_energy report.
+serves the expanded quadratic (the solver's fast path, for one vector or
+a stack of rows), its exterior tail term, and a compensated pair-by-pair
+sum of the same value, which gagliardo_energy, frac_perimeter and
+total_energy report.
 """
 
 from __future__ import annotations
@@ -76,6 +77,21 @@ def _check_exponent(table: KernelTable, expected: float, label: str) -> None:
         )
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """x as a (P, 1, n) stack of float rows; a 1-D x is one row.
+
+    Products of such stacks run one vector-matrix product and one dot per
+    row, the kernels of a lone 1-D ``x @ M @ x``, so each row's value is
+    bit-identical to that of the row alone ((P, n) GEMMs are not).
+    """
+    return np.asarray(x, dtype=float).reshape(-1, 1, np.shape(x)[-1])
+
+
+def _per_row(x: np.ndarray, values: np.ndarray):
+    """(P, 1, 1) values as a float for a 1-D x, else as a (P,) array."""
+    return float(values[0, 0, 0]) if np.ndim(x) == 1 else values[:, 0, 0]
+
+
 class _MaskedForm:
     """One energy term split by a cell mask (default: the minimization ball).
 
@@ -118,11 +134,15 @@ class GagliardoForm(_MaskedForm):
         self.const = ordered_sum([2.0 * ordered_sum(self.w_cross * self.rest**2),
                                   2.0 * ordered_sum(self.m2)])
 
-    def energy(self, x: np.ndarray) -> float:
-        return float(0.5 * x @ self.hess @ x + self.lin @ x + self.const)
+    def energy(self, x: np.ndarray):
+        """energy of x, or of every row of a (P, n) stack."""
+        rows = _rows(x)
+        return _per_row(x, 0.5 * rows @ self.hess @ rows.mT
+                        + rows @ self.lin[:, None] + self.const)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.hess @ x + self.lin
+        """H x + lin for x or for every row of a (P, n) stack."""
+        return (self.hess @ np.asarray(x)[..., None])[..., 0] + self.lin
 
     def tail(self, x: np.ndarray) -> float:
         """Pairs with the box exterior: 2 sum (x^2 T0 - 2 x M1 + M2)."""
@@ -155,9 +175,11 @@ class PerimeterForm(_MaskedForm):
                       + 0.5 * float((self.tp + self.tn).sum()))
         self.lin = -0.5 * (self.w_cross @ self.rest) + 0.5 * (self.tn - self.tp)
 
-    def value(self, e_in: np.ndarray) -> float:
-        e = e_in.astype(float)
-        return self.const + float(self.lin @ e) - 0.25 * float(e @ self.w_in @ e)
+    def value(self, e_in: np.ndarray):
+        """Per(e) of one sign vector, or of every row of a (P, n) stack."""
+        rows = _rows(e_in)
+        return _per_row(e_in, self.const + rows @ self.lin[:, None]
+                        - 0.25 * (rows @ self.w_in @ rows.mT))
 
     def flip_delta(self, e_in: np.ndarray, k: int) -> float:
         """Perimeter change from flipping the sign of in-mask cell k."""

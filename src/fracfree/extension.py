@@ -510,6 +510,15 @@ def annulus_fractions(hg: HalfGrid, r_lo: float, r_hi: float) -> np.ndarray:
     return frac
 
 
+def _annulus_terms(node_values: np.ndarray, frac: np.ndarray, wz: np.ndarray,
+                   h_n: float) -> np.ndarray:
+    """node_values * frac * wz(level) * h_n at the nodes with frac != 0:
+    ordered_sum is exactly rounded, so skipping the zero terms changes no
+    bit of the sum."""
+    hit = np.nonzero(frac)
+    return node_values[hit] * frac[hit] * wz[hit[0]] * h_n
+
+
 def weighted_dirichlet(field: ExtendedField, r: float,
                        a: float | None = None,
                        frac: np.ndarray | None = None) -> float:
@@ -526,9 +535,7 @@ def weighted_dirichlet(field: ExtendedField, r: float,
     if frac is None:
         frac = annulus_fractions(hg, 0.0, r)
     h_n = hg.grid.h ** hg.grid.dimension
-    shape = (-1,) + (1,) * (g2.ndim - 1)
-    contrib = g2 * frac * wz.reshape(shape) * h_n
-    return ordered_sum(contrib)
+    return ordered_sum(_annulus_terms(g2, frac, wz, h_n))
 
 
 def shell_average(field: ExtendedField, r: float, a: float,
@@ -542,9 +549,7 @@ def shell_average(field: ExtendedField, r: float, a: float,
     vals2 = field.values[1:] ** 2
     frac = annulus_fractions(hg, r - 0.5 * h, r + 0.5 * h)
     h_n = hg.grid.h ** hg.grid.dimension
-    shape = (-1,) + (1,) * (vals2.ndim - 1)
-    contrib = vals2 * frac * wz.reshape(shape) * h_n / h
-    return ordered_sum(contrib)
+    return ordered_sum(_annulus_terms(vals2, frac, wz, h_n) / h)
 
 
 @dataclass(frozen=True)

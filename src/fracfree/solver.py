@@ -7,10 +7,11 @@ discrete zero set while the perimeter strictly decreases. Trace entries
 take every term and tail from those two forms. Alternating the two from
 several starts gives the local solver; exhaustive enumeration of all
 phase patterns on tiny grids gives the global oracle it is calibrated
-against. The oracle visits the patterns in Gray-code order, so each QP
-differs from the one before by a single sign and starts from its
-solution: the active-set polish alone usually finishes it, with
-projected gradient as fallback.
+against. The oracle starts every pattern from the unconstrained minimizer
+projected onto its signs and solves them all in lockstep with one
+row-batched active-set polish, which groups the patterns by inactive
+count and stacks their solves; projected gradient is the fallback for a
+pattern the polish does not finish.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class SolveReport:
     start_energies: list = field(default_factory=list)
     landscape: np.ndarray | None = None
     trace_slack: float = 1e-9
+    polish_fallbacks: int = 0
 
     def __post_init__(self):
         # phase flips on the zero set may move clamped values by up to the
@@ -85,15 +87,16 @@ class SolveReport:
                 )
 
 
-def _kkt_from_gradient(u: np.ndarray, g: np.ndarray, signs: np.ndarray) -> float:
-    """KKT residual of the sign-constrained QP at u, given its gradient g."""
+def _kkt_from_gradient(u: np.ndarray, g: np.ndarray, signs: np.ndarray):
+    """KKT residual of the sign-constrained QP at u, given its gradient g;
+    one residual per row of a (P, n) stack."""
     at_zero = u == 0.0
     res = np.abs(np.where(at_zero, 0.0, g))
     lower = at_zero & (signs > 0)      # u >= 0 active: need g >= 0
     upper = at_zero & (signs < 0)      # u <= 0 active: need g <= 0
     res = np.maximum(res, np.where(lower, np.maximum(-g, 0.0), 0.0))
     res = np.maximum(res, np.where(upper, np.maximum(g, 0.0), 0.0))
-    return float(res.max()) if res.size else 0.0
+    return res.max(axis=-1, initial=0.0)
 
 
 class GagliardoQP(GagliardoForm):
@@ -105,8 +108,14 @@ class GagliardoQP(GagliardoForm):
         super().__init__(DiscreteFunction(grid, np.zeros(grid.n_cells), datum), table)
         self._lip = float(np.linalg.norm(self.hess, np.inf))
 
-    def kkt_residual(self, u_free: np.ndarray, signs: np.ndarray) -> float:
-        return _kkt_from_gradient(u_free, self.gradient(u_free), signs)
+    def free_minimizer(self) -> np.ndarray:
+        """The unconstrained minimizer, solve(H, -lin)."""
+        return np.linalg.solve(self.hess, -self.lin)
+
+    def kkt_residual(self, u_free: np.ndarray, signs: np.ndarray):
+        """KKT residual at u_free, or one per row of a (P, n) stack."""
+        res = _kkt_from_gradient(u_free, self.gradient(u_free), signs)
+        return float(res) if np.ndim(u_free) == 1 else res
 
     def _project(self, u: np.ndarray, signs: np.ndarray) -> np.ndarray:
         u = u.copy()
@@ -130,7 +139,7 @@ class GagliardoQP(GagliardoForm):
             u = np.zeros(n)
         else:
             u = self._project(np.asarray(x0, float), signs)
-            warm, polished = self._polish(u, signs, tol)
+            (warm,), (polished,) = self._polish(u[None], signs[None], tol)
             if polished:
                 kkt = self.kkt_residual(warm, signs)
                 if kkt <= 10.0 * tol:
@@ -153,37 +162,82 @@ class GagliardoQP(GagliardoForm):
             u, g = u_new, g_new
             if _kkt_from_gradient(u, g, signs) <= tol:
                 break
-        u, polished = self._polish(u, signs, tol)
+        (u,), (polished,) = self._polish(u[None], signs[None], tol)
         kkt = self.kkt_residual(u, signs)
         return QPResult(values=u, kkt_residual=kkt, iterations=iters,
-                        converged=kkt <= 10.0 * tol or polished)
+                        converged=kkt <= 10.0 * tol or bool(polished))
+
+    def solve_patterns(self, patterns: np.ndarray, tol: float = 1e-9,
+                       max_iters: int = 5000):
+        """Solve the QP for every row of a (P, n) stack of sign patterns.
+
+        All rows start from the unconstrained minimizer projected onto
+        their signs and share one lockstep polish; a row it does not finish,
+        or leaves above KKT ``10 * tol``, gets a cold ``solve``. Returns the
+        (P, n) solutions, their KKT residuals and the fallen-back rows.
+        """
+        start = self._project(np.broadcast_to(self.free_minimizer(), patterns.shape),
+                              patterns)
+        values, finished = self._polish(start, patterns, tol)
+        kkt = self.kkt_residual(values, patterns)
+        fallbacks = np.flatnonzero(~finished | (kkt > 10.0 * tol))
+        for i in fallbacks:
+            res = self.solve(patterns[i], tol=tol, max_iters=max_iters)
+            values[i], kkt[i] = res.values, res.kkt_residual
+        return values, kkt, fallbacks
 
     def _polish(self, u: np.ndarray, signs: np.ndarray, tol: float):
-        """Primal active-set refinement to machine-accurate KKT."""
-        n = self.idx_in.size
+        """Primal active-set refinement to machine-accurate KKT, row by row
+        over a (P, n) stack of points and sign patterns, in lockstep.
+
+        Each pass solves the inactive system of every unfinished row; a row
+        with sign violators adds them to its active set, a feasible row
+        releases its worst gradient violator or finishes. Returns the
+        points, with unfinished rows as given, and which rows finished.
+        """
+        p, n = u.shape
+        out, finished = u.copy(), np.zeros(p, dtype=bool)
         active = u == 0.0
+        todo = np.arange(p)
         for _ in range(2 * n + 20):
-            inactive = ~active
-            u_try = np.zeros(n)
-            if inactive.any():
-                sub = self.hess[np.ix_(inactive.nonzero()[0], inactive.nonzero()[0])]
-                rhs = -self.lin[inactive]
-                u_try[inactive] = np.linalg.solve(sub, rhs)
-            viol = inactive & (
-                ((signs > 0) & (u_try < 0.0)) | ((signs < 0) & (u_try > 0.0))
-            )
-            if viol.any():
-                active = active | viol
-                continue
+            if not todo.size:
+                break
+            act, sg = active[todo], signs[todo]
+            u_try = self._solve_inactive(~act)
+            viol = ~act & (((sg > 0) & (u_try < 0.0)) | ((sg < 0) & (u_try > 0.0)))
+            act |= viol
             g = self.gradient(u_try)
-            bad_low = active & (signs > 0) & (g < -tol)
-            bad_up = active & (signs < 0) & (g > tol)
-            bad = bad_low | bad_up
-            if not bad.any():
-                return u_try, True
-            worst = int(np.argmax(np.where(bad, np.abs(g), -np.inf)))
-            active[worst] = False
-        return u, False
+            bad = act & (((sg > 0) & (g < -tol)) | ((sg < 0) & (g > tol)))
+            feasible = ~viol.any(axis=1)
+            release = feasible & bad.any(axis=1)
+            if release.any():
+                worst = np.argmax(np.where(bad[release], np.abs(g[release]), -np.inf),
+                                  axis=1)
+                act[release, worst] = False
+            active[todo] = act
+            done = feasible & ~release
+            out[todo[done]] = u_try[done]
+            finished[todo[done]] = True
+            todo = todo[~done]
+        return out, finished
+
+    def _solve_inactive(self, inactive: np.ndarray) -> np.ndarray:
+        """Minimizers of the form with each row's active entries held at
+        exactly 0, for a (P, n) stack of inactive masks.
+
+        Rows with the same inactive count k share one stacked solve of
+        their k x k blocks H[I, I] (I ascending): the systems, and so the
+        bits, that each row alone would give.
+        """
+        u = np.zeros(inactive.shape)
+        counts = inactive.sum(axis=1)
+        for k in np.unique(counts[counts > 0]):
+            rows = np.flatnonzero(counts == k)
+            cols = inactive[rows].nonzero()[1].reshape(rows.size, k)
+            sub = self.hess[cols[:, :, None], cols[:, None, :]]
+            rhs = -self.lin[cols][..., None]
+            u[rows[:, None], cols] = np.linalg.solve(sub, rhs)[..., 0]
+        return u
 
 
 def solve_u_given_phase(phases: PhaseSet, datum: ExteriorDatum,
@@ -241,6 +295,17 @@ def _greedy_flips(form: PerimeterForm, e_in: np.ndarray,
         flips.append(k)
 
 
+# most floats per stacked PerimeterForm.value call in the exhaustive phase
+# update: 2^12 candidates on a 2D ball of thousands of cells would
+# otherwise stack hundreds of MiB
+_VALUE_ROWS_ELEMENTS = 1 << 20
+
+
+def _bit_table(n: int) -> np.ndarray:
+    """(2^n, n) booleans, row i holding the bits of i (column j: bit j)."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+
+
 def update_phase(u: DiscreteFunction, phases: PhaseSet, table: KernelTable,
                  params: SolverParams,
                  form: PerimeterForm | None = None) -> PhaseSet:
@@ -261,17 +326,17 @@ def update_phase(u: DiscreteFunction, phases: PhaseSet, table: KernelTable,
         and zero_set.size <= params.exhaustive_cap
     )
     if use_exhaustive and zero_set.size:
-        best = form.value(e_in)
-        best_e = e_in.copy()
-        for bits in range(1 << zero_set.size):
-            cand = e_in.copy()
-            for j in range(zero_set.size):
-                if bits >> j & 1:
-                    cand[zero_set[j]] = -cand[zero_set[j]]
-            val = form.value(cand)
+        flipped = _bit_table(zero_set.size)
+        cands = np.repeat(e_in[None], flipped.shape[0], axis=0)
+        cands[:, zero_set] = np.where(flipped, -e_in[zero_set], e_in[zero_set])
+        step = max(1, _VALUE_ROWS_ELEMENTS // e_in.size)
+        values = np.concatenate([form.value(cands[lo:lo + step])
+                                 for lo in range(0, len(cands), step)]).tolist()
+        best_i, best = 0, values[0]
+        for i, val in enumerate(values):
             if val < best - 1e-15 * max(1.0, abs(best)):
-                best, best_e = val, cand
-        e_in = best_e
+                best_i, best = i, val
+        e_in = cands[best_i]
     elif zero_set.size:
         _greedy_flips(form, e_in, zero_set)
     ind = phases.indicator.copy()
@@ -286,7 +351,7 @@ def _start_phases(init: AdmissiblePair, qp: GagliardoQP, params: SolverParams):
     starts = [("incumbent", init.phases.indicator[inside].astype(np.int8))]
     datum_pair = sample_datum(init.u.datum, grid)
     starts.append(("datum", datum_pair[1].indicator[inside].astype(np.int8)))
-    free = np.linalg.solve(qp.hess, -qp.lin)
+    free = qp.free_minimizer()
     starts.append(("unconstrained-sign",
                    np.where(free >= 0.0, 1, -1).astype(np.int8)))
     rng = np.random.RandomState(params.seed)
@@ -356,10 +421,6 @@ def _breakdown(u, phases, qp: GagliardoQP, form: PerimeterForm) -> EnergyBreakdo
                            form.tail(e_in))
 
 
-def _pattern_signs(bits: int, n: int) -> np.ndarray:
-    return np.where((bits >> np.arange(n)) & 1, 1, -1).astype(np.int8)
-
-
 def brute_force_minimize(grid: Grid, datum: ExteriorDatum,
                          table_gagliardo: KernelTable,
                          table_perimeter: KernelTable,
@@ -369,9 +430,11 @@ def brute_force_minimize(grid: Grid, datum: ExteriorDatum,
 
     Solves the inner QP for each of the 2^N patterns and returns the best
     pair together with the full energy landscape, indexed by pattern (bit
-    j set: cell j positive). Patterns are visited in Gray-code order, each
-    QP warm-started from the solution of its neighbour one sign flip away;
-    ties go to the lowest pattern index.
+    j set: cell j positive); ties go to the lowest pattern index. Every
+    pattern starts from the unconstrained minimizer projected onto its
+    signs, and one lockstep active-set polish solves them all; a pattern
+    it does not finish, or leaves above KKT ``10 * tol``, falls back to a
+    cold projected-gradient solve, counted in ``polish_fallbacks``.
     """
     inside = grid.in_omega
     n = int(inside.sum())
@@ -380,28 +443,19 @@ def brute_force_minimize(grid: Grid, datum: ExteriorDatum,
     qp = GagliardoQP(grid, datum, table_gagliardo)
     _, template = sample_datum(datum, grid)
     form = PerimeterForm(template, table_perimeter)
-    landscape = np.empty(1 << n)
-    solutions = np.empty((1 << n, n))
-    kkt = 0.0
-    x0 = None
-    for i in range(1 << n):
-        bits = i ^ (i >> 1)
-        signs = _pattern_signs(bits, n)
-        res = qp.solve(signs, x0=x0, tol=params.qp_tolerance,
-                       max_iters=params.qp_max_iters)
-        kkt = max(kkt, res.kkt_residual)
-        landscape[bits] = qp.energy(res.values) + form.value(signs)
-        solutions[bits] = res.values
-        x0 = res.values
+    patterns = np.where(_bit_table(n), 1, -1).astype(np.int8)
+    solutions, kkt, fallbacks = qp.solve_patterns(patterns, params.qp_tolerance,
+                                                  params.qp_max_iters)
+    landscape = qp.energy(solutions) + form.value(patterns)
     best = int(np.argmin(landscape))
-    u_free, signs = solutions[best], _pattern_signs(best, n)
     values = np.zeros(grid.n_cells)
-    values[inside] = u_free
+    values[inside] = solutions[best]
     u = DiscreteFunction(grid, values, datum)
     ind = template.indicator.copy()
-    ind[inside] = signs
+    ind[inside] = patterns[best]
     phases = template.with_indicator(ind)
     pair = AdmissiblePair(u, phases)
     trace = [_breakdown(u, phases, qp, form)]
     return SolveReport(pair=pair, trace=trace, termination="exhaustive",
-                       outer_iterations=1, qp_kkt=kkt, landscape=landscape)
+                       outer_iterations=1, qp_kkt=float(kkt.max()),
+                       landscape=landscape, polish_fallbacks=int(fallbacks.size))

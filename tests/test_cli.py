@@ -146,6 +146,22 @@ def test_rerun_is_bit_identical_modulo_timings(tmp_path):
     assert dumps[0] == dumps[1]
 
 
+def test_oracle_reports_its_polish_fallbacks(tmp_path):
+    grid = {"dimension": 1, "half_width": 1.0, "cells_per_side": 8,
+            "truncation_radius": 64.0, "domain_radius": 1.0}
+    dumps = []
+    for threads in (1, 2):
+        cfg = minimal_config(tmp_path, experiment="oracle", grid=grid,
+                             solver={"multistart_random": 2}, threads=threads)
+        report = run_experiment(validate_config(cfg))
+        assert report.scalars["patterns"] == 2**8
+        assert report.scalars["polish_fallbacks"] == 0
+        summary = json.load(open(os.path.join(report.run_dir, "summary.json")))
+        summary.pop("timings")
+        dumps.append(json.dumps(summary, sort_keys=True))
+    assert dumps[0] == dumps[1]
+
+
 def test_main_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(minimal_config(tmp_path / "runs")))

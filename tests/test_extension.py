@@ -480,3 +480,29 @@ def test_cone_defect_reuses_unmoved_gradients_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(ExtendedField, "gradient_squared", uncached)
     assert cone_defect(pair, radii, hg, params) == cached
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_annulus_sums_skip_zero_fractions_bit_for_bit(dimension):
+    # the half-ball integrals sum only nodes with a nonzero annulus
+    # fraction; the exactly rounded sum equals that of the full node array
+    from fracfree.extension import annulus_fractions
+    from fracfree.numerics import ordered_sum
+
+    g = build_grid(GridSpec(dimension, 1.0, 16 if dimension == 1 else 8, 64.0, 1.0))
+    hg = make_half_grid(g, ratio=1.2, top=0.9)
+    datum = halfspace_datum([1.0] + [0.5] * (dimension - 1), 0.1)
+    field = extend_set(sample_datum(datum, g)[1], hg, 0.6)
+    wz_shape = (-1,) + (1,) * dimension
+    h_n = g.h ** dimension
+    for r in (0.4, 0.8):
+        frac = annulus_fractions(hg, 0.0, r)
+        assert (frac == 0.0).any() and (frac > 0.0).any()
+        wz = hg.z_bin_integrals(field.weight_exponent).reshape(wz_shape)
+        full = ordered_sum(field.gradient_squared() * frac * wz * h_n)
+        assert weighted_dirichlet(field, r) == full
+        h = 0.5 * g.h
+        frac = annulus_fractions(hg, r - 0.5 * h, r + 0.5 * h)
+        wz = hg.z_bin_integrals(0.3).reshape(wz_shape)
+        full = ordered_sum(field.values[1:] ** 2 * frac * wz * h_n / h)
+        assert shell_average(field, r, 0.3, width_cells=0.5) == full

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fracfree import (
     FractionalParams,
@@ -19,6 +21,7 @@ from fracfree.model import DiscreteFunction, FullSet, HalfspaceSet
 from fracfree.solver import (
     GagliardoQP,
     SolverParams,
+    _bit_table,
     _greedy_flips,
     alternate_minimize,
     brute_force_minimize,
@@ -253,7 +256,7 @@ def _cold_oracle_reference(g, datum, tg, tp, params):
 
 
 @pytest.mark.parametrize("m, seed", [(8, 11), (10, 12)])
-def test_gray_code_oracle_matches_cold_binary_enumeration(m, seed):
+def test_batched_oracle_matches_cold_binary_enumeration(m, seed):
     g, tg, tp = small_setup(m=m, s=0.3, sigma=0.5)
     datum = random_tabulated_datum(np.random.RandomState(seed), -1.0, 1.0, g)
     report = brute_force_minimize(g, datum, tg, tp, PARAMS)
@@ -263,32 +266,116 @@ def test_gray_code_oracle_matches_cold_binary_enumeration(m, seed):
     assert np.array_equal(report.pair.phases.indicator[g.in_omega], signs)
 
 
-def test_oracle_falls_back_to_projected_gradient_when_warm_polish_fails(monkeypatch):
+def test_oracle_sends_unfinished_patterns_to_cold_solves(monkeypatch):
     g, tg, tp = small_setup(m=8)
     datum = random_tabulated_datum(np.random.RandomState(13), -1.0, 1.0, g)
-    expected = brute_force_minimize(g, datum, tg, tp, PARAMS).landscape
+    expected = brute_force_minimize(g, datum, tg, tp, PARAMS)
+    assert expected.polish_fallbacks == 0
+    chosen = [0, 5, 77, 200, 255]
     solve, polish = GagliardoQP.solve, GagliardoQP._polish
-    state = {"warm": False, "failed": 0, "converged": []}
+    cold = []
 
     def tracked_solve(self, signs, x0=None, **kwargs):
-        state["warm"] = x0 is not None
         res = solve(self, signs, x0=x0, **kwargs)
-        state["converged"].append(res.converged)
+        bits = int(((signs > 0) << np.arange(signs.size)).sum())
+        cold.append((bits, x0 is None, res.converged))
         return res
 
-    def failing_warm_polish(self, u, signs, tol):
-        if state["warm"]:
-            state["warm"] = False
-            state["failed"] += 1
-            return u, False
-        return polish(self, u, signs, tol)
+    def unfinished_polish(self, u, signs, tol):
+        out, finished = polish(self, u, signs, tol)
+        if len(u) == 2**8:      # the oracle's batch, not a cold solve's own
+            out[chosen], finished[chosen] = u[chosen], False
+        return out, finished
 
     monkeypatch.setattr(GagliardoQP, "solve", tracked_solve)
-    monkeypatch.setattr(GagliardoQP, "_polish", failing_warm_polish)
-    landscape = brute_force_minimize(g, datum, tg, tp, PARAMS).landscape
-    assert state["failed"] == 2**8 - 1
-    assert len(state["converged"]) == 2**8 and all(state["converged"])
-    assert np.max(np.abs(landscape - expected)) <= 1e-12
+    monkeypatch.setattr(GagliardoQP, "_polish", unfinished_polish)
+    report = brute_force_minimize(g, datum, tg, tp, PARAMS)
+    assert [bits for bits, _, _ in cold] == chosen
+    assert all(is_cold and converged for _, is_cold, converged in cold)
+    assert report.polish_fallbacks == len(chosen)
+    assert np.max(np.abs(report.landscape - expected.landscape)) <= 1e-12
+
+
+def test_grouped_inactive_solves_match_one_solve_per_row():
+    g, tg, tp = small_setup(m=12)
+    datum = random_tabulated_datum(np.random.RandomState(2), -1.0, 1.0, g)
+    qp = GagliardoQP(g, datum, tg)
+    rng = np.random.RandomState(9)
+    inactive = rng.rand(200, 12) < rng.rand(200, 1)
+    inactive[0], inactive[1] = False, True     # all active, none active
+    u = qp._solve_inactive(inactive)
+    for row, mask in zip(u, inactive):
+        idx = np.flatnonzero(mask)
+        if idx.size:
+            ref = np.linalg.solve(qp.hess[np.ix_(idx, idx)], -qp.lin[idx])
+            assert row[idx].tobytes() == ref.tobytes()
+        assert row[~mask].tobytes() == np.zeros(12 - idx.size).tobytes()
+
+
+@seed(20261019)
+@settings(max_examples=15, deadline=None, database=None)
+@given(m=st.integers(2, 9), s=st.floats(0.1, 0.45), sigma=st.floats(0.2, 0.9),
+       low=st.floats(-1.0, 0.5), data_seed=st.integers(0, 2**31 - 1))
+def test_oracle_rows_are_sign_feasible_and_kkt_accurate(m, s, sigma, low, data_seed):
+    g, tg, _ = small_setup(m=m, s=s, sigma=sigma)
+    datum = random_tabulated_datum(np.random.RandomState(data_seed), low, 1.0, g)
+    qp = GagliardoQP(g, datum, tg)
+    patterns = np.where(_bit_table(m), 1, -1).astype(np.int8)
+    tol = PARAMS.qp_tolerance
+    values, kkt, fallbacks = qp.solve_patterns(patterns, tol, PARAMS.qp_max_iters)
+    assert np.all(values * patterns >= 0.0)
+    grad = np.array([qp.hess @ v + qp.lin for v in values])
+    free = np.where(values == 0.0, 0.0, np.abs(grad))
+    wrong_way = np.where(values == 0.0, np.maximum(-patterns * grad, 0.0), 0.0)
+    worst = np.maximum(free, wrong_way).max(axis=1)
+    assert np.all(worst <= 10.0 * tol)
+    assert np.array_equal(worst, kkt)
+
+
+@pytest.mark.parametrize("stack_elements", [None, 50])
+def test_exhaustive_phase_update_matches_the_per_candidate_loop(stack_elements,
+                                                                monkeypatch):
+    from fracfree import solver as solver_mod
+
+    if stack_elements is not None:      # 3 candidates per stacked value call
+        monkeypatch.setattr(solver_mod, "_VALUE_ROWS_ELEMENTS", stack_elements)
+    g, tg, tp = small_setup(m=14)
+    datum = halfspace_datum([1.0], 0.0)
+    _, phases = sample_datum(datum, g)
+    inside = g.in_omega
+    rng = np.random.RandomState(21)
+    for trial in range(12):
+        ind = phases.indicator.copy()
+        ind[inside] = rng.choice([-1, 1], size=14)
+        start = phases.with_indicator(ind)
+        vals = rng.choice([-1.0, 1.0], size=14) * rng.uniform(0.5, 1.0, 14)
+        zero = rng.choice(14, size=rng.randint(1, 13), replace=False)
+        vals[zero] = 0.0
+        if trial == 0:
+            # a mirror-symmetric zero set: Per(e) = Per(-mirror(e)) for the
+            # datum {x > 0}, so candidates tie in pairs up to roundoff, where
+            # the first strict improvement and a plain argmin part ways
+            vals[:] = 0.0
+            vals[0], vals[13] = -1.0, 1.0
+        full = np.zeros(g.n_cells)
+        full[inside] = vals
+        u = DiscreteFunction(g, full, datum)
+        form = PerimeterForm(start, tp)
+        # the per-candidate loop the stacked evaluation replaced
+        e_in = ind[inside].astype(np.int8)
+        e_in[vals > 0.0], e_in[vals < 0.0] = 1, -1
+        zero_set = np.flatnonzero(vals == 0.0)
+        best, best_e = form.value(e_in), e_in.copy()
+        for bits in range(1 << zero_set.size):
+            cand = e_in.copy()
+            for j in range(zero_set.size):
+                if bits >> j & 1:
+                    cand[zero_set[j]] = -cand[zero_set[j]]
+            val = form.value(cand)
+            if val < best - 1e-15 * max(1.0, abs(best)):
+                best, best_e = val, cand
+        out = update_phase(u, start, tp, PARAMS, form=form)
+        assert np.array_equal(out.indicator[inside], best_e), trial
 
 
 def test_warm_started_solve_matches_cold_solve_with_active_constraints():
