@@ -29,12 +29,10 @@ from .energy import frac_perimeter, gagliardo_energy, total_energy
 from .errors import (
     ConfigError,
     FracfreeError,
-    FreeBoundaryError,
     NonConvergenceError,
 )
 from .extension import cone_defect, make_half_grid, weiss_profile
 from .model import (
-    AdmissiblePair,
     ConeF,
     ConstantF,
     DiscreteFunction,
@@ -214,6 +212,30 @@ def _build_datum(spec: dict, dimension: int) -> ExteriorDatum:
     )
 
 
+def _check_extension(doc: dict) -> None:
+    """Range-check the half-grid options, naming the first bad key."""
+
+    def real(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+    def integer(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    def positive_or_null(v):
+        return v is None or real(v) and v > 0.0
+
+    rules = {
+        "ratio": ("a number > 1", lambda v: real(v) and v > 1.0),
+        "z_first": ("a number > 0 or null", positive_or_null),
+        "levels": ("an integer >= 1 or null", lambda v: v is None or integer(v) and v >= 1),
+        "top": ("a number > 0 or null", positive_or_null),
+        "pad_cells": ("an integer >= 0", lambda v: integer(v) and v >= 0),
+    }
+    for key, (rule, ok) in rules.items():
+        if not ok(doc[key]):
+            raise ConfigError(f"extension.{key}: must be {rule}, got {doc[key]!r}")
+
+
 def validate_config(source) -> ExperimentConfig:
     """Parse, range-check and default-fill a config (path, dict or file)."""
     if isinstance(source, dict):
@@ -262,6 +284,7 @@ def validate_config(source) -> ExperimentConfig:
     _reject_unknown(ext_in, _EXTENSION_KEYS, "extension")
     ext_doc = dict(CONFIG_SCHEMA["extension"])
     ext_doc.update(ext_in)
+    _check_extension(ext_doc)
     params = dict(raw.get("experiment_params", {}))
     echo = {
         "experiment": experiment,
@@ -310,7 +333,7 @@ def _half_grid(cfg: ExperimentConfig, grid, **overrides):
         z_first=opts.get("z_first"),
         levels=opts.get("levels"),
         top=opts.get("top"),
-        pad_cells=int(opts.get("pad_cells") or 0),
+        pad_cells=opts.get("pad_cells", 0),
     )
 
 

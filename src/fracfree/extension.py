@@ -7,18 +7,22 @@ unit mass, so constants extend exactly and no dimensional constant is
 carried. The datum beyond the padded box enters as the constant pieces of
 ``quadrature.datum_far_pieces``, the same decomposition the energy tails
 use; only a homogeneous profile in 1D is sampled on stretch blocks
-instead. In 2D the rows at lattice nodes are FFT convolutions (the
-midpoint kernel depends only on the index offset) and rows at off-lattice
-nodes are one fused contraction of a separable distance table with the
-trace, ones and the half-plane indicators; both share one far-field step
-and are unit-mass.
+instead. The padded lattice, its trace and the row evaluator take
+(P, n) points for n = 1 and 2 alike. In 1D every row is a sum of exact
+interval masses. In 2D the rows at lattice nodes are FFT convolutions
+(the midpoint kernel depends only on the index offset) and rows at
+off-lattice nodes are one fused contraction of a separable distance table
+with the trace, ones and the half-plane indicators; both share one
+far-field step and are unit-mass.
 That step is exact when every term of the pieces is the whole plane or a
 half-plane; otherwise each term's mass beyond the padded box comes from
 the split-arc point rule of ``quadrature`` (exact radial mass per ray,
 Gauss-Legendre in the direction, order doubled until FAR_MASS_TOL is met).
 On top of the extensions live the weighted Dirichlet energy over
 half-balls, the radial monotonicity profile (Weiss-type functional), and
-the translation-defect probe for homogeneous pairs.
+the translation-defect probe for homogeneous pairs. The probe pulls back
+the fields it has built: a moved node is re-evaluated through the field's
+own padded trace and far field, never interpolated.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ class HalfGrid:
     pad_cells: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.pad_cells, (int, np.integer)) or self.pad_cells < 0:
+            raise InvalidSpecError(
+                f"pad_cells must be an integer >= 0, got {self.pad_cells}")
         z = np.asarray(self.levels)
         if z.size == 0 or z[0] <= 0.0 or not np.all(np.diff(z) > 0.0):
             raise InvalidSpecError("levels must be positive and increasing")
@@ -191,7 +198,7 @@ def _stretch_blocks(lp: float, z_top: float) -> np.ndarray:
 
 
 def _make_row_1d(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
-    """Evaluator: row(x_targets, z) of the 1D extension at any points."""
+    """Evaluator: row(points, z) of the 1D extension at any (P, 1) points."""
     axis = hg.padded_axis
     h = hg.grid.h
     edges = np.concatenate([axis - 0.5 * h, [axis[-1] + 0.5 * h]])
@@ -200,28 +207,18 @@ def _make_row_1d(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
     p_hi = np.array([p[1] for p in pieces])
     p_val = np.array([p[2] for p in pieces])
 
-    def row(x_targets: np.ndarray, z: float) -> np.ndarray:
-        w_in = _interval_masses(x_targets, float(z), edges[:-1], edges[1:], beta)
+    def row(pts: np.ndarray, z: float) -> np.ndarray:
+        x = pts[:, 0]
+        w_in = _interval_masses(x, float(z), edges[:-1], edges[1:], beta)
         num = w_in @ trace_vals
         den = w_in.sum(axis=1)
         if p_lo.size:
-            w_far = _interval_masses(x_targets, float(z), p_lo, p_hi, beta)
+            w_far = _interval_masses(x, float(z), p_lo, p_hi, beta)
             num = num + w_far @ p_val
             den = den + w_far.sum(axis=1)
         return num / den
 
     return row
-
-
-def _extend_1d(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
-    axis = hg.padded_axis
-    row = _make_row_1d(hg, trace_vals, func_spec, beta)
-    q = len(hg.levels)
-    out = np.empty((q + 1, axis.size))
-    out[0] = trace_vals
-    for k, z in enumerate(hg.z_array()):
-        out[k + 1] = row(axis, float(z))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +302,9 @@ def _kernel_weights(d2, z: float, h: float, beta: float):
 
 
 def _lattice_points(hg: HalfGrid) -> np.ndarray:
-    """Padded cell centers, one row per node in C order over (x, y)."""
-    axis = hg.padded_axis
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([xx.ravel(), yy.ravel()], axis=1)
+    """Padded cell centers, one row per node in C order over the axes."""
+    grids = np.meshgrid(*[hg.padded_axis] * hg.grid.dimension, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
@@ -384,15 +380,18 @@ def _extend_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
 
 
 def _extend(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
-    """Every level of the extension of a padded trace with the datum beyond."""
-    if hg.grid.dimension == 1:
-        return _extend_1d(hg, trace_vals, func_spec, beta)
-    pieces = datum_far_pieces(func_spec, hg.padded_half_width, 2)
-    return _extend_2d(hg, trace_vals, pieces, beta)
+    """Every level of the extension of a padded trace with the datum beyond:
+    FFT convolutions on the 2D lattice, the row evaluator in 1D."""
+    if hg.grid.dimension == 2:
+        pieces = datum_far_pieces(func_spec, hg.padded_half_width, 2)
+        return _extend_2d(hg, trace_vals, pieces, beta)
+    row = _make_row_1d(hg, trace_vals, func_spec, beta)
+    pts = _lattice_points(hg)
+    return np.stack([trace_vals] + [row(pts, z) for z in hg.z_array()])
 
 
 def _make_row(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
-    """Evaluator: row(points, z) of the extension at any points."""
+    """Evaluator: row(points, z) of the extension at any (P, n) points."""
     if hg.grid.dimension == 1:
         return _make_row_1d(hg, trace_vals, func_spec, beta)
     pieces = datum_far_pieces(func_spec, hg.padded_half_width, 2)
@@ -402,50 +401,39 @@ def _make_row(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
 # ---------------------------------------------------------------------------
 # public extensions
 
-def _padded_trace(values_fn, datum_eval, hg: HalfGrid):
-    g = hg.grid
-    p = hg.pad_cells
-    if g.dimension == 1:
-        core = values_fn()
-        if p == 0:
-            return core
-        ax = hg.padded_axis
-        out = datum_eval(ax[:, None]).astype(float)
-        out[p:-p] = core
-        return out
-    m = g.spec.cells_per_side
-    core = values_fn().reshape(m, m)
+def _padded_trace(core: np.ndarray, func_spec, hg: HalfGrid) -> np.ndarray:
+    """Cell values on the padded lattice: the core on the box cells, the
+    datum at the centers of the pad cells around them."""
+    n, p = hg.grid.dimension, hg.pad_cells
+    core = core.reshape((hg.grid.spec.cells_per_side,) * n)
     if p == 0:
         return core
-    ax = hg.padded_axis
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    out = datum_eval(pts).astype(float).reshape(ax.size, ax.size)
-    out[p:-p, p:-p] = core
+    out = func_spec.evaluate(_lattice_points(hg)).reshape((hg.padded_axis.size,) * n)
+    out[(slice(p, -p),) * n] = core
     return out
+
+
+def _is_constant(trace: np.ndarray, func_spec) -> bool:
+    """True when a constant datum also fills the whole trace."""
+    return isinstance(func_spec, ConstantF) and bool(np.all(trace == func_spec.value))
 
 
 def extend_scalar(u: DiscreteFunction, hg: HalfGrid, s: float) -> ExtendedField:
     """Convolve the function with the order-2s Poisson kernel per level."""
-    beta = 2.0 * s
     a = 1.0 - 2.0 * s
-    trace = _padded_trace(lambda: u.values, u.datum.func.evaluate, hg)
     func = u.datum.func
-    if isinstance(func, ConstantF) and np.all(trace == func.value):
+    trace = _padded_trace(u.values, func, hg)
+    if _is_constant(trace, func):
         shape = (len(hg.levels) + 1,) + trace.shape
         return ExtendedField(hg, np.full(shape, func.value), a)
-    return ExtendedField(hg, _extend(hg, trace, func, beta), a)
+    return ExtendedField(hg, _extend(hg, trace, func, 2.0 * s), a)
 
 
 def extend_set(phases: PhaseSet, hg: HalfGrid, sigma: float) -> ExtendedField:
     """Convolve the +-1 phase indicator with the order-sigma kernel."""
-    set_spec = phases.datum.set_spec
-    trace = _padded_trace(
-        lambda: phases.indicator.astype(float),
-        lambda pts: set_spec.membership(pts).astype(float),
-        hg,
-    )
-    field = ExtendedField(hg, _extend(hg, trace, IndicatorF(set_spec), sigma), 1.0 - sigma)
+    func = IndicatorF(phases.datum.set_spec)
+    trace = _padded_trace(phases.indicator.astype(float), func, hg)
+    field = ExtendedField(hg, _extend(hg, trace, func, sigma), 1.0 - sigma)
     if np.max(np.abs(field.values)) > 1.0 + 1e-9:
         raise InvalidSpecError("indicator extension left the unit range")
     return field
@@ -480,15 +468,9 @@ def annulus_fractions(hg: HalfGrid, r_lo: float, r_hi: float) -> np.ndarray:
     edges = np.concatenate([[0.0], 0.5 * (z[:-1] + z[1:]), [z[-1]]])
     z_ctr = 0.5 * (edges[:-1] + edges[1:])
     z_half = 0.5 * (edges[1:] - edges[:-1])
-    n = hg.grid.dimension
-    if n == 1:
-        ctr = np.stack(np.meshgrid(z_ctr, ax, indexing="ij"), axis=-1)
-        half = np.stack(np.meshgrid(z_half, np.full_like(ax, 0.5 * h), indexing="ij"), axis=-1)
-    else:
-        zc, xc, yc = np.meshgrid(z_ctr, ax, ax, indexing="ij")
-        ctr = np.stack([zc, xc, yc], axis=-1)
-        zh = np.meshgrid(z_half, ax, ax, indexing="ij")[0]
-        half = np.stack([zh, np.full_like(zh, 0.5 * h), np.full_like(zh, 0.5 * h)], axis=-1)
+    ctr = np.stack(np.meshgrid(z_ctr, *[ax] * hg.grid.dimension, indexing="ij"), axis=-1)
+    half = np.full_like(ctr, 0.5 * h)
+    half[..., 0] = z_half.reshape((-1,) + (1,) * hg.grid.dimension)
     inner = np.maximum(np.abs(ctr) - half, 0.0)
     outer = np.abs(ctr) + half
     dmin = np.sqrt((inner**2).sum(axis=-1))
@@ -614,94 +596,49 @@ def _cutoff(rho: np.ndarray) -> np.ndarray:
     return 1.0 - smoothstep_quintic((rho - 0.5) * 4.0)
 
 
-def _cell_value_lookup(grid: Grid, values: np.ndarray, datum_eval):
-    """Piecewise-constant evaluation: owning cell inside the box, datum
-    beyond. Used for the trace rows of pulled-back fields."""
-    spec = grid.spec
-    m, L, h = spec.cells_per_side, spec.half_width, grid.h
+def _pullback(field: ExtendedField, func_spec, beta: float):
+    """pulled(direction, r_cut): the field composed with
+    X -> X + direction * cutoff(|X|/r_cut) e_1.
 
-    def at(pts: np.ndarray) -> np.ndarray:
+    Moved nodes are re-evaluated exactly, with no interpolation, from the
+    field's own padded trace: on the trace row the owning box cell gives
+    the value, or the datum beyond the box; above it the extension row of
+    that trace does. Unmoved nodes keep bit-identical values, and a
+    constant field with a constant datum is returned itself, cached
+    gradient and all.
+    """
+    hg = field.half_grid
+    trace = field.trace
+    if _is_constant(trace, func_spec):
+        return lambda direction, r_cut: field
+    spec, h, p = hg.grid.spec, hg.grid.h, hg.pad_cells
+    m, L = spec.cells_per_side, spec.half_width
+    row = _make_row(hg, trace, func_spec, beta)
+    src = _lattice_points(hg)
+    src2 = (src**2).sum(axis=1)
+    z_all = np.concatenate([[0.0], hg.z_array()])
+
+    def trace_at(pts):
         out = np.empty(pts.shape[0])
         inside = np.all(np.abs(pts) < L, axis=1)
-        if inside.any():
-            idx = np.clip(((pts[inside] + L) / h).astype(int), 0, m - 1)
-            flat = idx[:, 0] if grid.dimension == 1 else idx[:, 0] * m + idx[:, 1]
-            out[inside] = values[flat]
-        if (~inside).any():
-            out[~inside] = datum_eval(pts[~inside])
+        idx = np.clip(((pts[inside] + L) / h).astype(int), 0, m - 1) + p
+        out[inside] = trace[tuple(idx.T)]
+        out[~inside] = func_spec.evaluate(pts[~inside])
         return out
 
-    return at
-
-
-def _field_evaluators(pair: AdmissiblePair, hg: HalfGrid, params: FractionalParams):
-    """(trace_eval, level_row) closures for both extensions of a pair."""
-    g = hg.grid
-    u, phases = pair.u, pair.phases
-    scalar_const = (
-        isinstance(u.datum.func, ConstantF)
-        and np.all(u.values == u.datum.func.value)
-    )
-    set_spec = phases.datum.set_spec
-
-    trace_u = _padded_trace(lambda: u.values, u.datum.func.evaluate, hg)
-    trace_e = _padded_trace(
-        lambda: phases.indicator.astype(float),
-        lambda pts: set_spec.membership(pts).astype(float), hg,
-    )
-    row_u = None if scalar_const else _make_row(hg, trace_u, u.datum.func, 2.0 * params.s)
-    row_e = _make_row(hg, trace_e, IndicatorF(set_spec), params.sigma)
-
-    at_u = _cell_value_lookup(g, u.values, u.datum.func.evaluate)
-    at_e = _cell_value_lookup(
-        g, phases.indicator.astype(float),
-        lambda pts: set_spec.membership(pts).astype(float),
-    )
-    const_val = u.datum.func.value if scalar_const else None
-    return (at_u, row_u, const_val), (at_e, row_e, None)
-
-
-def _pulled_values(base: ExtendedField, evaluator, direction: float,
-                   r_cut: float) -> np.ndarray:
-    """Field values composed with X -> X + direction * cutoff(|X|/R) e_1.
-
-    Moved nodes are re-evaluated through the extension itself (exact, no
-    interpolation); nodes outside the cutoff support keep bit-identical
-    values.
-    """
-    trace_eval, row, const_val = evaluator
-    hg = base.half_grid
-    if const_val is not None:
-        return base.values
-    ax = hg.padded_axis
-    out = base.values.copy()
-    z_all = np.concatenate([[0.0], hg.z_array()])
-    for k, z in enumerate(z_all):
-        if base.values.ndim == 2:
-            x1 = ax
-            radii = np.sqrt(x1**2 + z * z)
-            disp = direction * _cutoff(radii / r_cut)
+    def pulled(direction: float, r_cut: float) -> ExtendedField:
+        out = field.values.reshape(z_all.size, -1).copy()
+        for k, z in enumerate(z_all):
+            disp = direction * _cutoff(np.sqrt(src2 + z * z) / r_cut)
             moved = disp != 0.0
             if not moved.any():
                 continue
-            pts = (x1[moved] + disp[moved])[:, None]
-            if k == 0:
-                out[0][moved] = trace_eval(pts)
-            else:
-                out[k][moved] = row(pts[:, 0], float(z))
-        else:
-            xx, yy = np.meshgrid(ax, ax, indexing="ij")
-            radii = np.sqrt(xx**2 + yy**2 + z * z)
-            disp = direction * _cutoff(radii / r_cut)
-            moved = disp != 0.0
-            if not moved.any():
-                continue
-            pts = np.stack([(xx + disp)[moved], yy[moved]], axis=1)
-            if k == 0:
-                out[0][moved] = trace_eval(pts)
-            else:
-                out[k][moved] = row(pts, float(z))
-    return out
+            pts = src[moved]
+            pts[:, 0] += disp[moved]
+            out[k, moved] = trace_at(pts) if k == 0 else row(pts, float(z))
+        return ExtendedField(hg, out.reshape(field.values.shape), field.weight_exponent)
+
+    return pulled
 
 
 def cone_defect(pair: AdmissiblePair, radii, hg: HalfGrid,
@@ -727,12 +664,8 @@ def cone_defect(pair: AdmissiblePair, radii, hg: HalfGrid,
             )
     ubar = extend_scalar(pair.u, hg, params.s)
     uset = extend_set(pair.phases, hg, params.sigma)
-    ev_u, ev_e = _field_evaluators(pair, hg, params)
-
-    def pulled(base, evaluator, direction, r_cut):
-        # unmoved values keep the field itself, and with it its cached gradient
-        vals = _pulled_values(base, evaluator, direction, r_cut)
-        return base if vals is base.values else ExtendedField(hg, vals, base.weight_exponent)
+    pull_u = _pullback(ubar, pair.u.datum.func, 2.0 * params.s)
+    pull_e = _pullback(uset, IndicatorF(pair.phases.datum.set_spec), params.sigma)
 
     def energy(fs, fu, r_cut, frac):
         return (weighted_dirichlet(fs, r_cut, frac=frac)
@@ -743,8 +676,7 @@ def cone_defect(pair: AdmissiblePair, radii, hg: HalfGrid,
         frac = annulus_fractions(hg, 0.0, r_cut)
         base = energy(ubar, uset, r_cut, frac)
         plus, minus = (
-            energy(pulled(ubar, ev_u, sign, r_cut), pulled(uset, ev_e, sign, r_cut),
-                   r_cut, frac)
+            energy(pull_u(sign, r_cut), pull_e(sign, r_cut), r_cut, frac)
             for sign in (+1.0, -1.0)
         )
         defects.append((plus - base) + (minus - base))

@@ -11,7 +11,7 @@ tabulated shell).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,6 +175,15 @@ class FullSet:
         return self
 
 
+def _in_arc(ang: np.ndarray, a0: float, a1: float) -> np.ndarray:
+    """Angles in [0, 2 pi) inside the arc from a0 to a1 (both taken mod
+    2 pi), which wraps through angle 0 when a0 mod 2 pi exceeds a1's."""
+    lo, hi = np.mod(a0, 2.0 * math.pi), np.mod(a1, 2.0 * math.pi)
+    if lo <= hi:
+        return (ang >= lo) & (ang < hi)
+    return (ang >= lo) | (ang < hi)
+
+
 @dataclass(frozen=True)
 class SectorSet:
     """Cone through the origin.
@@ -194,11 +203,7 @@ class SectorSet:
         ang = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
         inside = np.zeros(pts.shape[0], dtype=bool)
         for a0, a1 in self.sectors:
-            lo, hi = np.mod(a0, 2.0 * math.pi), np.mod(a1, 2.0 * math.pi)
-            if lo <= hi:
-                inside |= (ang >= lo) & (ang < hi)
-            else:
-                inside |= (ang >= lo) | (ang < hi)
+            inside |= _in_arc(ang, a0, a1)
         return np.where(inside, 1, -1).astype(np.int8)
 
     def rescaled(self, r: float) -> "SectorSet":
@@ -255,11 +260,7 @@ class ConeF:
             ang = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
             g = np.zeros(pts.shape[0])
             for (a0, a1), val in self.profile:
-                lo, hi = np.mod(a0, 2.0 * math.pi), np.mod(a1, 2.0 * math.pi)
-                if lo <= hi:
-                    g = np.where((ang >= lo) & (ang < hi), val, g)
-                else:
-                    g = np.where((ang >= lo) | (ang < hi), val, g)
+                g = np.where(_in_arc(ang, a0, a1), val, g)
         with np.errstate(divide="ignore"):
             mag = np.where(rad > 0.0, rad**self.degree, 0.0)
         return self.amp * mag * g

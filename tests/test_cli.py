@@ -179,6 +179,23 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("ratio", 1.0), ("ratio", 0.5), ("z_first", -0.5), ("top", 0.0),
+    ("levels", 0), ("levels", 2.5), ("pad_cells", -2), ("pad_cells", 1.5),
+])
+def test_main_exit_code_2_on_invalid_extension(tmp_path, capsys, key, value):
+    # each of these used to reach make_half_grid and die with exit 1 or 4
+    cfg = minimal_config(tmp_path / "runs", experiment="cone2d",
+                         extension={key: value}, experiment_params={"radii": [1.0]})
+    cfg["grid"].update(dimension=2, cells_per_side=8)
+    cfg["datum"]["normal"] = [1.0, 0.0]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["cone2d", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: invalid config: extension.{key}: ")
+
+
 def test_nonconvergence_writes_partial_report(tmp_path, monkeypatch):
     from fracfree.cli import _RUNNERS
     from fracfree.errors import NonConvergenceError

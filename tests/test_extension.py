@@ -7,6 +7,7 @@ from fracfree import (
     FractionalParams,
     FreeBoundaryError,
     GridSpec,
+    InvalidSpecError,
     OutOfRangeError,
     build_grid,
     constant_datum,
@@ -23,11 +24,13 @@ from fracfree.model import (
     HalfspaceSet,
     IndicatorF,
     PhaseSet,
+    ball_datum,
     cone_datum,
 )
 from fracfree.quadrature import datum_far_pieces
 from fracfree.extension import (
     ExtendedField,
+    HalfGrid,
     cone_defect,
     extend_scalar,
     extend_set,
@@ -87,6 +90,13 @@ def test_half_disk_area_oracle():
     fld = ExtendedField(hg, np.tile(z[:, None], (1, hg.padded_axis.size)), 0.0)
     area = weighted_dirichlet(fld, 1.0, a=0.0)
     assert area == pytest.approx(math.pi / 2.0, rel=5e-3)
+
+
+@pytest.mark.parametrize("pad_cells", [-2, 1.5])
+def test_half_grid_refuses_bad_padding(setup_1d, pad_cells):
+    g, hg = setup_1d
+    with pytest.raises(InvalidSpecError, match="pad_cells"):
+        HalfGrid(g, hg.levels, pad_cells)
 
 
 def test_dirichlet_radius_out_of_range(setup_1d):
@@ -203,32 +213,59 @@ def test_cone_defect_requires_reach():
         cone_defect(pair, [8.0], hg, params)
 
 
-def test_pullback_is_identity_outside_cutoff():
-    # nodes with |X| >= (3/4) R keep bit-identical values
-    from fracfree.extension import _field_evaluators, _pulled_values
+def _ball_pair_2d():
+    """A 2D pair sampled from a ball-indicator datum, with its half grid:
+    the moved rows of both fields take the point-rule far masses."""
+    g = build_grid(GridSpec(2, 2.0, 4, 128.0, 1.5))
+    hg = make_half_grid(g, ratio=1.8, z_first=0.25, levels=5, pad_cells=2)
+    return make_pair(*sample_datum(ball_datum((0.5, -0.25), 3.0, -1), g)), hg
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_pullback_is_identity_outside_cutoff(dimension):
+    # nodes with |X| >= (3/4) R keep bit-identical values, for the scalar
+    # and the set field alike, while nodes inside move
+    from fracfree.extension import _lattice_points, _pullback
 
     params = FractionalParams(0.625, 0.25)
-    g = build_grid(GridSpec(1, 6.0, 64, 384.0, 1.0))
-    pair = make_pair(*sample_datum(halfspace_datum([1.0], 0.0), g))
-    hg = make_half_grid(g, ratio=1.3, top=4.5, pad_cells=8)
-    f = extend_set(pair.phases, hg, params.sigma)
-    _, ev_e = _field_evaluators(pair, hg, params)
-    moved = _pulled_values(f, ev_e, +1.0, 4.0)
+    if dimension == 1:
+        g = build_grid(GridSpec(1, 6.0, 64, 384.0, 1.0))
+        pair = make_pair(*sample_datum(halfspace_datum([1.0], 0.0), g))
+        hg = make_half_grid(g, ratio=1.3, top=4.5, pad_cells=8)
+        r_cut = 4.0
+    else:
+        pair, hg = _ball_pair_2d()
+        r_cut = 2.5
+    fields = [
+        (extend_scalar(pair.u, hg, params.s), pair.u.datum.func, 2.0 * params.s),
+        (extend_set(pair.phases, hg, params.sigma), IndicatorF(pair.phases.datum.set_spec),
+         params.sigma),
+    ]
     z = np.concatenate([[0.0], hg.z_array()])
-    rr = np.sqrt(z[:, None] ** 2 + hg.padded_axis[None, :] ** 2)
-    outside = rr >= 0.75 * 4.0
-    assert np.array_equal(moved[outside], f.values[outside])
+    r2 = (_lattice_points(hg) ** 2).sum(axis=1)
+    rr = np.sqrt(z[:, None] ** 2 + r2).reshape(fields[0][0].values.shape)
+    outside = rr >= 0.75 * r_cut
+    for f, func, beta in fields:
+        moved = _pullback(f, func, beta)(+1.0, r_cut).values
+        assert np.array_equal(moved[outside], f.values[outside])
+        assert not np.array_equal(moved, f.values)
 
 
-def test_cone_defect_radii_match_single_radius_calls():
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_cone_defect_radii_match_single_radius_calls(dimension):
     params = FractionalParams(0.625, 0.25)
-    g = build_grid(GridSpec(1, 6.0, 96, 384.0, 1.0))
-    pair = make_pair(*sample_datum(cone_datum(params.scaling_degree, (1.0, -1.0)), g))
-    hg = make_half_grid(g, ratio=1.25, top=4.2, pad_cells=10)
-    radii = [1.0, 2.0, 4.0]
+    if dimension == 1:
+        g = build_grid(GridSpec(1, 6.0, 96, 384.0, 1.0))
+        pair = make_pair(*sample_datum(cone_datum(params.scaling_degree, (1.0, -1.0)), g))
+        hg = make_half_grid(g, ratio=1.25, top=4.2, pad_cells=10)
+        radii = [1.0, 2.0, 4.0]
+    else:
+        pair, hg = _ball_pair_2d()
+        radii = [1.25, 2.5]
     together = cone_defect(pair, radii, hg, params)
     apart = [cone_defect(pair, [r], hg, params)[0] for r in radii]
     assert together == apart
+    assert all(d != 0.0 for d in together)
 
 
 def test_cone_defect_checks_every_radius_before_building(monkeypatch):
