@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,12 @@ from .errors import (
     FracfreeError,
     NonConvergenceError,
 )
-from .extension import cone_defect, make_half_grid, weiss_profile
+from .extension import (
+    check_half_grid_options,
+    cone_defect,
+    make_half_grid,
+    weiss_profile,
+)
 from .model import (
     ConeF,
     ConstantF,
@@ -100,16 +105,7 @@ CONFIG_SCHEMA = {
             "set": {"kind": "halfspace | full | empty", "normal": [1.0], "offset": 0.0},
         },
     },
-    "solver": {
-        "max_outer_iters": 30,
-        "qp_tolerance": 1e-9,
-        "zero_threshold": None,
-        "flip_strategy": "exhaustive-on-zero-set",
-        "exhaustive_cap": 12,
-        "multistart_random": 5,
-        "energy_stall_tolerance": 1e-10,
-        "qp_max_iters": 5000,
-    },
+    "solver": {k: v for k, v in asdict(SolverParams()).items() if k != "seed"},
     "extension": {
         "ratio": 1.15,
         "z_first": None,
@@ -212,30 +208,6 @@ def _build_datum(spec: dict, dimension: int) -> ExteriorDatum:
     )
 
 
-def _check_extension(doc: dict) -> None:
-    """Range-check the half-grid options, naming the first bad key."""
-
-    def real(v):
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-    def integer(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    def positive_or_null(v):
-        return v is None or real(v) and v > 0.0
-
-    rules = {
-        "ratio": ("a number > 1", lambda v: real(v) and v > 1.0),
-        "z_first": ("a number > 0 or null", positive_or_null),
-        "levels": ("an integer >= 1 or null", lambda v: v is None or integer(v) and v >= 1),
-        "top": ("a number > 0 or null", positive_or_null),
-        "pad_cells": ("an integer >= 0", lambda v: integer(v) and v >= 0),
-    }
-    for key, (rule, ok) in rules.items():
-        if not ok(doc[key]):
-            raise ConfigError(f"extension.{key}: must be {rule}, got {doc[key]!r}")
-
-
 def validate_config(source) -> ExperimentConfig:
     """Parse, range-check and default-fill a config (path, dict or file)."""
     if isinstance(source, dict):
@@ -284,7 +256,10 @@ def validate_config(source) -> ExperimentConfig:
     _reject_unknown(ext_in, _EXTENSION_KEYS, "extension")
     ext_doc = dict(CONFIG_SCHEMA["extension"])
     ext_doc.update(ext_in)
-    _check_extension(ext_doc)
+    try:
+        check_half_grid_options(**ext_doc)
+    except InvalidSpecError as exc:
+        raise ConfigError(f"extension.{exc}") from exc
     params = dict(raw.get("experiment_params", {}))
     echo = {
         "experiment": experiment,
@@ -325,16 +300,7 @@ def _tables(cfg: ExperimentConfig, grid=None):
 
 
 def _half_grid(cfg: ExperimentConfig, grid, **overrides):
-    opts = dict(cfg.extension)
-    opts.update(overrides)
-    return make_half_grid(
-        grid,
-        ratio=opts.get("ratio", 1.15),
-        z_first=opts.get("z_first"),
-        levels=opts.get("levels"),
-        top=opts.get("top"),
-        pad_cells=opts.get("pad_cells", 0),
-    )
+    return make_half_grid(grid, **{**cfg.extension, **overrides})
 
 
 def _minimize(cfg: ExperimentConfig):
@@ -567,11 +533,11 @@ def _run_blowup(cfg, run_dir):
     scales = [int(k) for k in cfg.experiment_params.get("scales", [1, 2])]
     ts = np.asarray(cfg.experiment_params.get("radii", [0.5, 0.75, 1.0]), dtype=float)
     tol = float(cfg.experiment_params.get("identity_tol", 1e-10))
-    levels = cfg.extension.get("levels")
+    levels = cfg.extension["levels"]
     if levels is None:
-        ratio = cfg.extension.get("ratio", 1.15)
-        z1 = cfg.extension.get("z_first") or 0.5 * g.h
-        levels = 2 + int(math.ceil(math.log(1.05 * ts.max() / z1) / math.log(ratio)))
+        z1 = cfg.extension["z_first"] or 0.5 * g.h
+        levels = 2 + int(math.ceil(math.log(1.05 * ts.max() / z1)
+                                   / math.log(cfg.extension["ratio"])))
     hg = _half_grid(cfg, g, levels=levels)
     rows = []
     worst = 0.0
@@ -580,7 +546,7 @@ def _run_blowup(cfg, run_dir):
         r = 2.0 ** (-k)
         scaled = rescale_pair(pair, r, cfg.fractional)
         hg_r = _half_grid(cfg, scaled.grid, levels=levels,
-                          z_first=(cfg.extension.get("z_first") or 0.5 * g.h) / r)
+                          z_first=(cfg.extension["z_first"] or 0.5 * g.h) / r)
         prof_r = weiss_profile(scaled, ts, cfg.fractional, hg_r)
         prof_o = weiss_profile(pair, r * ts, cfg.fractional, hg)
         err = float(np.max(np.abs(prof_r.phi - prof_o.phi)
@@ -601,6 +567,10 @@ def _run_blowup(cfg, run_dir):
 def _run_cone2d(cfg, run_dir):
     if cfg.grid_spec.dimension != 2:
         raise ConfigError("grid.dimension: cone2d needs a 2D base grid")
+    radii = [float(r) for r in cfg.experiment_params.get("radii", [4.0, 8.0, 16.0])]
+    if len(radii) < 2 or radii[0] <= 0.0 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ConfigError("experiment_params.radii: cone2d needs at least two positive, "
+                          f"strictly increasing radii, got {radii}")
     g = build_grid(cfg.grid_spec)
     normal = cfg.experiment_params.get("normal", [1.0, 0.0])
     set_spec = HalfspaceSet(tuple(float(v) for v in normal), 0.0)
@@ -608,7 +578,6 @@ def _run_cone2d(cfg, run_dir):
     u = DiscreteFunction(g, np.zeros(g.n_cells), datum)
     phases = PhaseSet(g, set_spec.membership(g.centers), datum)
     pair = make_pair(u, phases)
-    radii = [float(r) for r in cfg.experiment_params.get("radii", [4.0, 8.0, 16.0])]
     slack = float(cfg.experiment_params.get("decay_slack", 0.6))
     pos_tol = float(cfg.experiment_params.get("positivity_tol", 1e-8))
     hg = _half_grid(cfg, g)

@@ -98,10 +98,35 @@ class HalfGrid:
         return (edges[1:] ** p - edges[:-1] ** p) / p
 
 
+def check_half_grid_options(ratio, z_first, levels, top, pad_cells) -> None:
+    """Range-check the options of make_half_grid; an InvalidSpecError names
+    the first bad one."""
+
+    def number(v):
+        return (isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool) and math.isfinite(v))
+
+    def integer(v):
+        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+    for key, v, rule, ok in (
+        ("ratio", ratio, "a number > 1", number(ratio) and ratio > 1.0),
+        ("z_first", z_first, "a number > 0 or null",
+         z_first is None or number(z_first) and z_first > 0.0),
+        ("levels", levels, "an integer >= 1 or null",
+         levels is None or integer(levels) and levels >= 1),
+        ("top", top, "a number > 0 or null", top is None or number(top) and top > 0.0),
+        ("pad_cells", pad_cells, "an integer >= 0", integer(pad_cells) and pad_cells >= 0),
+    ):
+        if not ok:
+            raise InvalidSpecError(f"{key}: must be {rule}, got {v!r}")
+
+
 def make_half_grid(grid: Grid, ratio: float = 1.15, z_first: float | None = None,
                    levels: int | None = None, top: float | None = None,
                    pad_cells: int = 0) -> HalfGrid:
     """Geometric levels z_k = z_first * ratio^k reaching the requested top."""
+    check_half_grid_options(ratio, z_first, levels, top, pad_cells)
     z1 = 0.5 * grid.h if z_first is None else z_first
     if levels is None:
         if top is None:

@@ -61,7 +61,7 @@ from .model import (
 )
 from .numerics import map_blocks, ordered_sum
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 NEAR_FACTOR = 2.0          # subdivide cells nearer the box boundary than this many diameters
 DEPTH_1D = 12
 DEPTH_2D = 6
@@ -1063,6 +1063,10 @@ def _identity_term_tails(grid: Grid, offsets, alpha, term):
 # kernel table assembly
 
 def _offsets_1d(m: int, h: float, alpha: float) -> np.ndarray:
+    """Pair weights by index offset; k >= 2 by 20-point Gauss on the positive
+    W_k = h^(1-alpha) int_0^1 (1-t) ((k+t)^(-1-alpha) + (k-t)^(-1-alpha)) dt
+    (the second difference of |x|^(1-alpha) loses k^2 ulps; the exponent
+    -alpha is exact, where a rounded -1-alpha would cost log k ulps)."""
     offs = np.zeros(m)
     if m >= 2:
         if alpha >= 1.0:
@@ -1070,8 +1074,10 @@ def _offsets_1d(m: int, h: float, alpha: float) -> np.ndarray:
         else:
             offs[1] = float(_pair_weight_1d(0.0, h, h, 2.0 * h, alpha))
     if m >= 3:
-        ks = np.arange(2, m, dtype=float)
-        offs[2:] = _pair_weight_1d(0.0, h, ks * h, (ks + 1.0) * h, alpha)
+        t, w = _gauss01(20)
+        ks = np.arange(2, m, dtype=float)[:, None]
+        kernel = (ks + t) ** -alpha / (ks + t) + (ks - t) ** -alpha / (ks - t)
+        offs[2:] = h * h ** -alpha * (kernel @ ((1.0 - t) * w))
     return offs
 
 

@@ -7,16 +7,16 @@ discrete zero set while the perimeter strictly decreases. Trace entries
 take every term and tail from those two forms. Alternating the two from
 several starts gives the local solver; exhaustive enumeration of all
 phase patterns on tiny grids gives the global oracle it is calibrated
-against. The oracle starts every pattern from the unconstrained minimizer
-projected onto its signs and solves them all in lockstep with one
-row-batched active-set polish, which groups the patterns by inactive
-count and stacks their solves; projected gradient is the fallback for a
-pattern the polish does not finish.
+against. Every QP, one pattern or the oracle's 2^N in lockstep, starts
+from a warm start or the unconstrained minimizer projected onto its signs
+and is refined by one row-batched active-set polish; projected gradient is
+the fallback for a pattern the polish does not finish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class SolverParams:
     max_outer_iters: int = 30
     qp_tolerance: float = 1e-9
     zero_threshold: float | None = None     # default 1e-7 * value scale
-    flip_strategy: str = "exhaustive-on-zero-set"   # or "greedy"
     exhaustive_cap: int = 12
     multistart_random: int = 5
     energy_stall_tolerance: float = 1e-10
@@ -50,8 +49,6 @@ class SolverParams:
             raise ValueError("max_outer_iters must be at least 1")
         if self.qp_tolerance <= 0 or self.energy_stall_tolerance <= 0:
             raise ValueError("tolerances must be positive")
-        if self.flip_strategy not in ("greedy", "exhaustive-on-zero-set"):
-            raise ValueError(f"unknown flip strategy {self.flip_strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -108,9 +105,12 @@ class GagliardoQP(GagliardoForm):
         super().__init__(DiscreteFunction(grid, np.zeros(grid.n_cells), datum), table)
         self._lip = float(np.linalg.norm(self.hess, np.inf))
 
+    @cached_property
     def free_minimizer(self) -> np.ndarray:
-        """The unconstrained minimizer, solve(H, -lin)."""
-        return np.linalg.solve(self.hess, -self.lin)
+        """The unconstrained minimizer, solve(H, -lin), read-only."""
+        u = np.linalg.solve(self.hess, -self.lin)
+        u.flags.writeable = False
+        return u
 
     def kkt_residual(self, u_free: np.ndarray, signs: np.ndarray):
         """KKT residual at u_free, or one per row of a (P, n) stack."""
@@ -126,25 +126,39 @@ class GagliardoQP(GagliardoForm):
 
     def solve(self, signs: np.ndarray, x0: np.ndarray | None = None,
               tol: float = 1e-9, max_iters: int = 5000) -> QPResult:
-        """Projected gradient with BB steps, then an active-set polish.
+        """The QP at one sign pattern: solve_patterns on a single row, from
+        ``x0`` (default: the unconstrained minimizer) projected onto the
+        signs. ``iterations`` is 0 when the polish finishes, and otherwise
+        counts the steps of the projected-gradient fallback."""
+        values, kkt, fallbacks = self.solve_patterns(np.asarray(signs)[None], tol,
+                                                     max_iters, x0)
+        return fallbacks.get(0) or QPResult(values=values[0], kkt_residual=float(kkt[0]),
+                                            iterations=0, converged=True)
 
-        With a warm start ``x0`` the polish runs first, from ``x0``
-        projected onto the signs; its result is returned when it converges
-        to a KKT residual within ``10 * tol`` (``iterations`` 0), and the
-        projected-gradient path starts from the same point otherwise.
+    def solve_patterns(self, patterns: np.ndarray, tol: float = 1e-9,
+                       max_iters: int = 5000, x0: np.ndarray | None = None):
+        """The one solve path, for every row of a (P, n) stack of sign patterns.
+
+        Every row starts from ``x0`` (default: the unconstrained minimizer)
+        projected onto its signs, and one lockstep polish refines them all.
+        A row it does not finish, or leaves above KKT ``10 * tol``, falls
+        back to ``_descend`` from the same start. Returns the (P, n) values,
+        their KKT residuals and the fallback's ``QPResult`` by row.
         """
-        n = self.idx_in.size
-        signs = np.asarray(signs)
-        if x0 is None:
-            u = np.zeros(n)
-        else:
-            u = self._project(np.asarray(x0, float), signs)
-            (warm,), (polished,) = self._polish(u[None], signs[None], tol)
-            if polished:
-                kkt = self.kkt_residual(warm, signs)
-                if kkt <= 10.0 * tol:
-                    return QPResult(values=warm, kkt_residual=kkt, iterations=0,
-                                    converged=True)
+        u0 = self.free_minimizer if x0 is None else np.asarray(x0, float)
+        start = self._project(np.broadcast_to(u0, patterns.shape), patterns)
+        values, finished = self._polish(start, patterns, tol)
+        kkt = self.kkt_residual(values, patterns)
+        fallbacks = {}
+        for i in np.flatnonzero(~finished | (kkt > 10.0 * tol)):
+            res = fallbacks[int(i)] = self._descend(start[i], patterns[i], tol, max_iters)
+            values[i], kkt[i] = res.values, res.kkt_residual
+        return values, kkt, fallbacks
+
+    def _descend(self, u: np.ndarray, signs: np.ndarray, tol: float,
+                 max_iters: int) -> QPResult:
+        """The fallback for one row: projected gradient with BB steps from
+        the feasible point u, then the polish."""
         g = self.gradient(u)
         tau = 1.0 / max(self._lip, 1e-300)
         iters = 0
@@ -166,25 +180,6 @@ class GagliardoQP(GagliardoForm):
         kkt = self.kkt_residual(u, signs)
         return QPResult(values=u, kkt_residual=kkt, iterations=iters,
                         converged=kkt <= 10.0 * tol or bool(polished))
-
-    def solve_patterns(self, patterns: np.ndarray, tol: float = 1e-9,
-                       max_iters: int = 5000):
-        """Solve the QP for every row of a (P, n) stack of sign patterns.
-
-        All rows start from the unconstrained minimizer projected onto
-        their signs and share one lockstep polish; a row it does not finish,
-        or leaves above KKT ``10 * tol``, gets a cold ``solve``. Returns the
-        (P, n) solutions, their KKT residuals and the fallen-back rows.
-        """
-        start = self._project(np.broadcast_to(self.free_minimizer(), patterns.shape),
-                              patterns)
-        values, finished = self._polish(start, patterns, tol)
-        kkt = self.kkt_residual(values, patterns)
-        fallbacks = np.flatnonzero(~finished | (kkt > 10.0 * tol))
-        for i in fallbacks:
-            res = self.solve(patterns[i], tol=tol, max_iters=max_iters)
-            values[i], kkt[i] = res.values, res.kkt_residual
-        return values, kkt, fallbacks
 
     def _polish(self, u: np.ndarray, signs: np.ndarray, tol: float):
         """Primal active-set refinement to machine-accurate KKT, row by row
@@ -311,7 +306,8 @@ def update_phase(u: DiscreteFunction, phases: PhaseSet, table: KernelTable,
                  form: PerimeterForm | None = None) -> PhaseSet:
     """Force signs where |u| clears the threshold; on the zero set flip
     cells while the perimeter strictly decreases (exhaustively when the
-    zero set is small). Ties keep the incumbent phase."""
+    zero set has at most exhaustive_cap cells, else greedily). Ties keep the
+    incumbent phase."""
     grid = u.grid
     inside = grid.in_omega
     form = PerimeterForm(phases, table) if form is None else form
@@ -321,11 +317,7 @@ def update_phase(u: DiscreteFunction, phases: PhaseSet, table: KernelTable,
     e_in[uu > delta] = 1
     e_in[uu < -delta] = -1
     zero_set = np.flatnonzero(np.abs(uu) <= delta)
-    use_exhaustive = (
-        params.flip_strategy == "exhaustive-on-zero-set"
-        and zero_set.size <= params.exhaustive_cap
-    )
-    if use_exhaustive and zero_set.size:
+    if 0 < zero_set.size <= params.exhaustive_cap:
         flipped = _bit_table(zero_set.size)
         cands = np.repeat(e_in[None], flipped.shape[0], axis=0)
         cands[:, zero_set] = np.where(flipped, -e_in[zero_set], e_in[zero_set])
@@ -351,7 +343,7 @@ def _start_phases(init: AdmissiblePair, qp: GagliardoQP, params: SolverParams):
     starts = [("incumbent", init.phases.indicator[inside].astype(np.int8))]
     datum_pair = sample_datum(init.u.datum, grid)
     starts.append(("datum", datum_pair[1].indicator[inside].astype(np.int8)))
-    free = qp.free_minimizer()
+    free = qp.free_minimizer
     starts.append(("unconstrained-sign",
                    np.where(free >= 0.0, 1, -1).astype(np.int8)))
     rng = np.random.RandomState(params.seed)
@@ -381,8 +373,8 @@ def alternate_minimize(init: AdmissiblePair, params: SolverParams,
         trace = []
         u, qp_res = solve_u_given_phase(phases, datum, table_gagliardo, params, qp=qp)
         kkt = qp_res.kkt_residual
-        total = qp.energy(qp_res.values) + form.value(phases.indicator[inside])
         trace.append(_breakdown(u, phases, qp, form))
+        total = trace[-1].total
         termination = "max_iters"
         outer = 0
         for outer in range(1, params.max_outer_iters + 1):
@@ -396,8 +388,8 @@ def alternate_minimize(init: AdmissiblePair, params: SolverParams,
                 warm=qp_res.values,
             )
             kkt = max(kkt, qp_res.kkt_residual)
-            new_total = qp.energy(qp_res.values) + form.value(phases.indicator[inside])
             trace.append(_breakdown(u, phases, qp, form))
+            new_total = trace[-1].total
             if total - new_total <= params.energy_stall_tolerance:
                 total = min(total, new_total)
                 termination = "stalled"
@@ -430,11 +422,9 @@ def brute_force_minimize(grid: Grid, datum: ExteriorDatum,
 
     Solves the inner QP for each of the 2^N patterns and returns the best
     pair together with the full energy landscape, indexed by pattern (bit
-    j set: cell j positive); ties go to the lowest pattern index. Every
-    pattern starts from the unconstrained minimizer projected onto its
-    signs, and one lockstep active-set polish solves them all; a pattern
-    it does not finish, or leaves above KKT ``10 * tol``, falls back to a
-    cold projected-gradient solve, counted in ``polish_fallbacks``.
+    j set: cell j positive); ties go to the lowest pattern index. All
+    patterns share one ``GagliardoQP.solve_patterns`` call; the patterns
+    it sends to projected gradient are counted in ``polish_fallbacks``.
     """
     inside = grid.in_omega
     n = int(inside.sum())
@@ -458,4 +448,4 @@ def brute_force_minimize(grid: Grid, datum: ExteriorDatum,
     trace = [_breakdown(u, phases, qp, form)]
     return SolveReport(pair=pair, trace=trace, termination="exhaustive",
                        outer_iterations=1, qp_kkt=float(kkt.max()),
-                       landscape=landscape, polish_fallbacks=int(fallbacks.size))
+                       landscape=landscape, polish_fallbacks=len(fallbacks))

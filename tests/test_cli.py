@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from fracfree.cli import (
     run_experiment,
     validate_config,
 )
+from fracfree.solver import SolverParams
 
 
 def minimal_config(outdir, **overrides):
@@ -40,6 +42,15 @@ def test_validate_fills_defaults(tmp_path):
     assert cfg.echo["fractional"]["c_ratio"] == 1.0
     assert cfg.echo["extension"]["ratio"] == 1.15
     assert cfg.seed == 0
+
+
+def test_solver_schema_defaults_are_the_solver_params_defaults(tmp_path):
+    defaults = {f.name: f.default for f in dataclasses.fields(SolverParams)
+                if f.name != "seed"}
+    assert CONFIG_SCHEMA["solver"] == defaults
+    cfg = validate_config(minimal_config(tmp_path))
+    assert cfg.echo["solver"] == defaults
+    assert cfg.solver == SolverParams()
 
 
 def test_validate_rejects_out_of_range_s(tmp_path):
@@ -194,6 +205,21 @@ def test_main_exit_code_2_on_invalid_extension(tmp_path, capsys, key, value):
     assert main(["cone2d", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: invalid config: extension.{key}: ")
+
+
+@pytest.mark.parametrize("radii", [[], [0.0], [-1.0], [1.0, 1.0], [1.0]])
+def test_main_exit_code_2_on_invalid_cone2d_radii(tmp_path, capsys, radii):
+    # the first four passed both verdicts vacuously with exit 0
+    cfg = minimal_config(tmp_path / "runs", experiment="cone2d",
+                         experiment_params={"radii": radii})
+    cfg["grid"].update(dimension=2, cells_per_side=8)
+    cfg["datum"]["normal"] = [1.0, 0.0]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["cone2d", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: invalid config: experiment_params.radii: ")
 
 
 def test_nonconvergence_writes_partial_report(tmp_path, monkeypatch):

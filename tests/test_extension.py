@@ -48,6 +48,17 @@ def setup_1d():
     return g, hg
 
 
+@pytest.mark.parametrize("key, value", [
+    ("ratio", 1.0), ("ratio", 0.9), ("z_first", -0.5), ("top", 0.0),
+])
+def test_make_half_grid_refuses_options_out_of_range(key, value):
+    # ratio 1.0 divided by log(1), z_first -0.5 and top 0.0 took a log of a
+    # negative ratio, and ratio 0.9 gave one level short of top
+    g = build_grid(GridSpec(1, 2.0, 8, 128.0, 1.0))
+    with pytest.raises(InvalidSpecError, match=f"^{key}: must be "):
+        make_half_grid(g, **{key: value})
+
+
 def test_constant_extension_is_exact(setup_1d):
     g, hg = setup_1d
     u, _ = sample_datum(constant_datum(2.5), g)

@@ -19,6 +19,7 @@ from fracfree.quadrature import (
     _cell_perimeter,
     _HalfplaneTerm,
     _line_cell_tail,
+    _offsets_1d,
     _pair_weight_1d,
     _pair_weight_polar_2d,
     _point_term_mass,
@@ -169,6 +170,34 @@ def test_1d_scaling_identity_touching():
         w1 = cell_pair_weight(C1, C2, alpha)
         w2 = cell_pair_weight(((0.0,), (r,)), ((r,), (2 * r,)), alpha)
         assert abs(w2 - r ** (1.0 - alpha) * w1) <= 1e-12 * abs(w2)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 1.0, 1.2, 1.9])
+def test_1d_far_offsets_match_a_50_digit_reference(alpha):
+    # W_k = h^p (2k^p - (k-1)^p - (k+1)^p) / (alpha p), p = 1 - alpha, is the
+    # exact pair weight; at 50 digits its cancellation (about k^2) is harmless
+    # (alpha = 1 takes the limit of the log form)
+    from decimal import Decimal, localcontext
+
+    m, h = 4096, 0.1
+    offsets = _offsets_1d(m, h, alpha)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, hh = Decimal(alpha), Decimal(h)
+        p = 1 - a
+
+        def exact(k):
+            k = Decimal(k)
+            if p == 0:
+                return float(2 * k.ln() - (k - 1).ln() - (k + 1).ln())
+            second = 2 * k**p - (k - 1) ** p - (k + 1) ** p
+            return float(hh**p * second / (a * p))
+
+        ks = [2, 3, 5, 10, 100, 1000, 2500, 4000, m - 1]
+        reference = np.array([exact(k) for k in ks])
+    assert np.all(reference > 0.0)
+    rel = np.abs(offsets[ks] - reference) / reference
+    assert rel.max() <= 2e-15, rel
 
 
 def test_assemble_table_counts_and_symmetry():

@@ -272,28 +272,72 @@ def test_oracle_sends_unfinished_patterns_to_cold_solves(monkeypatch):
     expected = brute_force_minimize(g, datum, tg, tp, PARAMS)
     assert expected.polish_fallbacks == 0
     chosen = [0, 5, 77, 200, 255]
-    solve, polish = GagliardoQP.solve, GagliardoQP._polish
+    descend, polish = GagliardoQP._descend, GagliardoQP._polish
     cold = []
 
-    def tracked_solve(self, signs, x0=None, **kwargs):
-        res = solve(self, signs, x0=x0, **kwargs)
+    def tracked_descend(self, u, signs, tol, max_iters):
+        res = descend(self, u, signs, tol, max_iters)
         bits = int(((signs > 0) << np.arange(signs.size)).sum())
-        cold.append((bits, x0 is None, res.converged))
+        from_cold_start = np.array_equal(u, self._project(self.free_minimizer, signs))
+        cold.append((bits, from_cold_start, res.converged))
         return res
 
     def unfinished_polish(self, u, signs, tol):
         out, finished = polish(self, u, signs, tol)
-        if len(u) == 2**8:      # the oracle's batch, not a cold solve's own
+        if len(u) == 2**8:      # the oracle's batch, not a fallback's own
             out[chosen], finished[chosen] = u[chosen], False
         return out, finished
 
-    monkeypatch.setattr(GagliardoQP, "solve", tracked_solve)
+    monkeypatch.setattr(GagliardoQP, "_descend", tracked_descend)
     monkeypatch.setattr(GagliardoQP, "_polish", unfinished_polish)
     report = brute_force_minimize(g, datum, tg, tp, PARAMS)
     assert [bits for bits, _, _ in cold] == chosen
     assert all(is_cold and converged for _, is_cold, converged in cold)
     assert report.polish_fallbacks == len(chosen)
     assert np.max(np.abs(report.landscape - expected.landscape)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cold_solve_is_the_polished_projected_minimizer(seed):
+    # the polish from the projected unconstrained minimizer lands on the
+    # active set of the projected-gradient fallback from zero, so on the
+    # same k x k solve
+    g, tg, tp = small_setup(m=10)
+    datum = random_tabulated_datum(np.random.RandomState(seed), -1.0, 1.0, g)
+    qp = GagliardoQP(g, datum, tg)
+    tol = PARAMS.qp_tolerance
+    rng = np.random.RandomState(seed)
+    for _ in range(8):
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=10)
+        res = qp.solve(signs, tol=tol)
+        assert res.iterations == 0 and res.converged
+        ref = qp._descend(np.zeros(10), signs, tol, PARAMS.qp_max_iters)
+        assert ref.iterations > 0 and ref.converged
+        assert res.values.tobytes() == ref.values.tobytes()
+        assert res.kkt_residual == ref.kkt_residual
+
+
+def test_solve_falls_back_when_the_polish_does_not_finish(monkeypatch):
+    g, tg, tp = small_setup(m=8)
+    datum = random_tabulated_datum(np.random.RandomState(1), -1.0, 1.0, g)
+    qp = GagliardoQP(g, datum, tg)
+    signs = np.array([1, 1, -1, 1, -1, -1, 1, -1], dtype=np.int8)
+    tol = PARAMS.qp_tolerance
+    polish, calls = GagliardoQP._polish, []
+
+    def unfinished_first_polish(self, u, signs, tol):
+        out, finished = polish(self, u, signs, tol)
+        calls.append(len(u))
+        if len(calls) == 1:     # the start's polish, not the fallback's
+            out, finished = u.copy(), np.zeros(len(u), dtype=bool)
+        return out, finished
+
+    monkeypatch.setattr(GagliardoQP, "_polish", unfinished_first_polish)
+    res = qp.solve(signs, tol=tol)
+    assert calls == [1, 1]
+    assert res.iterations > 0 and res.converged
+    assert res.kkt_residual <= 10.0 * tol
+    assert res.kkt_residual == qp.kkt_residual(res.values, signs)
 
 
 def test_grouped_inactive_solves_match_one_solve_per_row():
@@ -402,7 +446,7 @@ def test_greedy_flips_match_per_cell_flip_delta_reference():
     ind = phases.indicator.copy()
     ind[g.in_omega] = np.random.RandomState(8).choice([-1, 1], size=16)
     scrambled = phases.with_indicator(ind)
-    params = SolverParams(flip_strategy="greedy")
+    params = SolverParams()
     assert 16 > params.exhaustive_cap
     form = PerimeterForm(scrambled, tp)
     ref = scrambled.indicator[g.in_omega].astype(np.int8)
