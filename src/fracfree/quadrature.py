@@ -1,18 +1,23 @@
 """Interaction weights for the singular kernel |x-y|^(-(n+alpha)).
 
-Cell-pair weights W_ij (the kernel integrated over C_i x C_j) are exact in
-1D via a double antiderivative. In 2D they reduce to the difference
-variable: separated pairs take tensor Gauss, touching pairs an angular
-rule with exact radial integrals. Tail weights integrate a cell against an
-unbounded exterior region: closed forms in 1D; in 2D, for alpha < 1, the
-exact 1D pair weight along every line through the cell, with quadrature
-over the lines only (Santalo's line-measure identity). A table serves two
-kinds of 2D term by identity instead: the whole plane (the closed-form
-perimeter of a square cell minus its in-box pair weights) and axis
-half-planes whose boundary is a grid line or misses the open box (a
-closed-form 1D marginal, or the perimeter minus the other side's marginal,
-minus in-box pair weights). Balls, sectors and every other half-plane stay
-on the line engine.
+Every 1D interval integral of the kernel is one closed form, the chord
+mass ((u + w)^p - u^p) / (alpha p), p = 1 - alpha, of a chord of length w
+against a ray at gap u, taken as u^p expm1(p log1p(w / u)) / (alpha p) so
+that it keeps its digits for far gaps and for alpha near 1. Cell-pair
+weights W_ij (the kernel integrated over C_i x C_j) in 1D are a difference
+of two chord masses, or for equal cells at least two widths apart 20-point
+Gauss on the all-positive difference-variable integral. In 2D they reduce
+to the difference variable: separated pairs take tensor Gauss, touching
+pairs an angular rule with exact radial integrals. Tail weights integrate
+a cell against an unbounded exterior region: chord masses in 1D, every
+cell at once; in 2D, for alpha < 1, the chord mass along every line
+through the cell, with quadrature over the lines only (Santalo's
+line-measure identity). A table serves two kinds of 2D term by identity
+instead: the whole plane (the closed-form perimeter of a square cell minus
+its in-box pair weights) and axis half-planes whose boundary is a grid line
+or misses the open box (a closed-form 1D marginal, or the perimeter minus
+the other side's marginal, minus in-box pair weights). Balls, sectors and
+every other half-plane stay on the line engine.
 
 Every 2D point integral (a radially symmetric density seen from a point
 inside the box, against one region term beyond it) takes one rule: the
@@ -28,7 +33,8 @@ extension rows add the pieces' far masses. Tabulated shells are clipped at
 the box, and a table starting beyond it is refused.
 
 For alpha >= 1 the exact integral over touching geometry diverges and
-fixed conventions replace it: the closed-form convention in 1D; in 2D the
+fixed conventions replace it: in 1D a closed form for touching pairs and
+dyadic slabs with a midpoint sliver for touching tails; in 2D the
 midpoint value for touching pairs, and for tails a dyadic subdivision of
 the cell toward the box boundary whose midpoint leaves each take the
 point rule.
@@ -61,7 +67,7 @@ from .model import (
 )
 from .numerics import map_blocks, ordered_sum
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 NEAR_FACTOR = 2.0          # subdivide cells nearer the box boundary than this many diameters
 DEPTH_1D = 12
 DEPTH_2D = 6
@@ -73,37 +79,42 @@ def _check_alpha(alpha: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# 1D closed forms
+# 1D kernel mass
 
-def _pair_weight_1d(a, b, c, d, alpha):
-    """Exact integral of (y-x)^(-(1+alpha)) over [a,b] x [c,d] with c >= b.
+def _chord_mass(u, w, alpha):
+    """Kernel mass of a chord [-w, 0] against the ray (u, inf) ahead of it:
+    the integral of (y-x)^(-(1+alpha)) over both, which is
+    ((u + w)^p - u^p) / (alpha p) = (1/alpha) int_u^(u+w) t^(-alpha) dt with
+    p = 1 - alpha, and log1p(w / u) / alpha at alpha = 1.
 
-    d may be +inf. Touching intervals (c == b) are fine for alpha < 1; for
-    alpha >= 1 the touching integral diverges and callers must regularize.
+    Taken as u^p expm1(p log1p(w / u)) / (alpha p), it keeps its digits when
+    u is large against w and when alpha is near 1. u = 0 is the touching
+    value w^p / (alpha p), infinite for alpha >= 1; u = inf gives 0. A pair
+    [a, b] x [c, d] with c >= b is _chord_mass(c - b, b - a) -
+    _chord_mass(d - b, b - a). With alpha + 1 in place of alpha it is the
+    mass of [u, u + w] seen from a point, over alpha + 1.
     """
-    a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
-    if alpha == 1.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(
-                np.isinf(d),
-                (c - a) / (c - b),
-                ((c - a) * (d - b)) / ((c - b) * (d - a)),
-            )
-            return np.log(ratio)
+    u, w = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
     p = 1.0 - alpha
-    d_fin = np.where(np.isinf(d), c + 1.0, d)
-    with np.errstate(divide="ignore"):
-        ca = (c - a) ** p
-        cb = (c - b) ** p
-        dterm = np.where(np.isinf(d), 0.0, (d_fin - a) ** p - (d_fin - b) ** p)
-    return (ca - cb - dterm) / (alpha * p)
+    out = np.zeros(u.shape)
+    touch = u == 0.0
+    out[touch] = w[touch] ** p / (alpha * p) if alpha < 1.0 else np.inf
+    gap = (u > 0.0) & np.isfinite(u)
+    ug, lg = u[gap], np.log1p(w[gap] / u[gap])
+    out[gap] = lg / alpha if alpha == 1.0 else ug**p * np.expm1(p * lg) / (alpha * p)
+    return out
 
 
-def _point_piece_1d(p, a, b, alpha):
-    """Integral of |p-y|^(-(1+alpha)) over [a,b] with p < a; b may be inf."""
-    ta = (a - p) ** (-alpha)
-    tb = 0.0 if math.isinf(b) else (b - p) ** (-alpha)
-    return (ta - tb) / alpha
+def _gauss_pair_weights_1d(k, h, alpha):
+    """Pair weights of equal cells of width h whose centres lie k >= 2 widths
+    apart, by 20-point Gauss on the all-positive difference-variable form
+    W_k = h^(1-alpha) int_0^1 (1-t) ((k+t)^(-1-alpha) + (k-t)^(-1-alpha)) dt
+    (the second difference of |x|^(1-alpha) loses k^2 ulps; the exponent
+    -alpha is exact, where a rounded -1-alpha would cost log k ulps)."""
+    t, w = _gauss01(20)
+    ks = np.asarray(k, dtype=float)[..., None]
+    kernel = (ks + t) ** -alpha / (ks + t) + (ks - t) ** -alpha / (ks - t)
+    return h * h ** -alpha * (kernel @ ((1.0 - t) * w))
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +321,21 @@ def cell_pair_weight(cell_a, cell_b, alpha: float, tol: float = 1e-9) -> float:
     if n == 1:
         if lo_b[0] < lo_a[0]:
             lo_a, hi_a, lo_b, hi_b = lo_b, hi_b, lo_a, hi_a
-        touching = hi_a[0] >= lo_b[0]
-        if touching and alpha >= 1.0:
-            if not np.isclose(hi_a[0] - lo_a[0], hi_b[0] - lo_b[0]):
+        (a, b), (c, d) = (lo_a[0], hi_a[0]), (lo_b[0], hi_b[0])
+        if b >= c and alpha >= 1.0:
+            if not np.isclose(b - a, d - c):
                 raise ParameterError(
                     "touching pairs with alpha >= 1 are regularized for "
                     "equal cells only"
                 )
-            return _consistent_touch_1d(hi_a[0] - lo_a[0], alpha)
-        return float(_pair_weight_1d(lo_a[0], hi_a[0], lo_b[0], hi_b[0], alpha))
+            return _consistent_touch_1d(b - a, alpha)
+        # widths equal to roundoff: the weight is even in their difference,
+        # so their mean serves both to second order
+        h = 0.5 * ((b - a) + (d - c))
+        k = (0.5 * (c + d) - 0.5 * (a + b)) / h
+        if abs((d - c) - (b - a)) <= 1e-12 * h and k >= 2.0:
+            return float(_gauss_pair_weights_1d(k, h, alpha))
+        return float(_chord_mass(c - b, b - a, alpha) - _chord_mass(d - b, b - a, alpha))
     delta = 0.5 * (lo_a + hi_a) - 0.5 * (lo_b + hi_b)
     wa, wb = hi_a - lo_a, hi_b - lo_b
     touching = bool((gaps <= 0.0).all())
@@ -508,62 +525,62 @@ def datum_far_pieces(func_spec, L: float, dimension: int):
     return pieces
 
 
-def _regularized_ray_1d(e, f, a, b, alpha):
-    """Touching cell-ray weight, alpha >= 1: dyadic slabs toward the contact
-    point f == a, closed form per separated slab, midpoint on the sliver."""
-    parts = []
+def _touching_tail_1d(w, length, alpha):
+    """Convention for a cell of width w touching a piece of the given length
+    (maybe inf) at alpha >= 1: DEPTH_1D dyadic slabs toward the contact
+    point, each a chord mass, and the midpoint value on the last sliver.
+    Measured from the contact point every slab edge is exact. The kernel
+    mass r^(-alpha) int_1^(1+length/r) t^(-1-alpha) dt seen from the
+    sliver's midpoint r is a chord mass at alpha + 1, taken in units of r
+    so that rounding alpha + 1 costs no log r ulps."""
+    gap = w * 2.0 ** -np.arange(1, DEPTH_1D + 1)   # slab k: width and gap
+    slabs = _chord_mass(gap, gap, alpha) - _chord_mass(length + gap, gap, alpha)
+    sliver = w * 2.0 ** -DEPTH_1D
+    r = 0.5 * sliver
+    mid = r**-alpha * (1.0 + alpha) * _chord_mass(1.0, length / r, 1.0 + alpha)
+    return ordered_sum(np.append(slabs, sliver * mid))
+
+
+def _tails_1d(e, f, region, alpha):
+    """Tails of the cells [e_i, f_i] against a 1D region, all at once.
+
+    Each piece is a chord-mass difference on every cell; a piece touching a
+    cell at alpha >= 1 takes _touching_tail_1d on that cell instead. A
+    cell's pieces are summed exactly rounded.
+    """
+    if not isinstance(region, Region1D):
+        raise GeometryError("region dimensionality does not match the cell")
     w = f - e
-    for k in range(DEPTH_1D):
-        slab_lo = f - w * 2.0 ** (-k)
-        slab_hi = f - w * 2.0 ** (-k - 1)
-        parts.append(float(_pair_weight_1d(slab_lo, slab_hi, a, b, alpha)))
-    sliver_lo = f - w * 2.0 ** (-DEPTH_1D)
-    mid = 0.5 * (sliver_lo + f)
-    parts.append((f - sliver_lo) * _point_piece_1d(mid, a, b, alpha))
-    return ordered_sum(parts)
+    parts = np.zeros((e.size, len(region.pieces)))
+    for j, (a, b) in enumerate(region.pieces):
+        if np.any(np.minimum(b, f) - np.maximum(a, e) > 1e-9 * w):
+            raise GeometryError("region overlaps the cell")
+        # a piece right of a cell's left edge lies beyond it: a positive
+        # overlap is roundoff overhang against the box boundary, a touch
+        right = a > e
+        near = np.maximum(np.where(right, a - f, e - b), 0.0)
+        far = np.where(right, b - f, e - a)
+        parts[:, j] = _chord_mass(near, w, alpha) - _chord_mass(far, w, alpha)
+        if alpha >= 1.0:
+            for i in np.flatnonzero(near == 0.0):
+                parts[i, j] = _touching_tail_1d(w[i], far[i], alpha)
+    return np.array([math.fsum(row) for row in parts.tolist()])
 
 
 def tail_weight(cell, region, alpha: float, tol: float = 1e-8) -> float:
     """Kernel weight of a cell against an unbounded exterior region.
 
-    1D is closed form (exact out to infinity); a region touching the cell
-    with alpha >= 1 uses a depth-limited regularization. 2D integrates
-    exactly along lines for alpha < 1, with quadrature over the lines only;
-    for alpha >= 1 it subdivides the cell toward the box boundary and
+    1D is _tails_1d on the one cell: a chord-mass difference per piece,
+    exact out to infinity to a few ulps; a region touching the cell with
+    alpha >= 1 uses a depth-limited regularization. 2D integrates exactly
+    along lines for alpha < 1, with quadrature over the lines only; for
+    alpha >= 1 it subdivides the cell toward the box boundary and
     integrates the region from every leaf centre by the point rule.
     """
     _check_alpha(alpha)
     lo, hi = _normalize_cell(cell)
-    n = lo.size
-    if n == 1:
-        if not isinstance(region, Region1D):
-            raise GeometryError("region dimensionality does not match the cell")
-        if region.is_empty():
-            return 0.0
-        e, f = lo[0], hi[0]
-        parts = []
-        snap = 1e-9 * (f - e)
-        for a, b in region.pieces:
-            overlap = min(b, f) - max(a, e)
-            if overlap > snap:
-                raise GeometryError("region overlaps the cell")
-            if overlap > 0.0:
-                # roundoff overhang of a cell edge against the box boundary
-                if a <= e:
-                    b = min(b, e)
-                else:
-                    a = max(a, f)
-            if a >= f:
-                if a == f and alpha >= 1.0:
-                    parts.append(_regularized_ray_1d(e, f, a, b, alpha))
-                else:
-                    parts.append(float(_pair_weight_1d(e, f, a, b, alpha)))
-            else:
-                if b == e and alpha >= 1.0:
-                    parts.append(_regularized_ray_1d(-f, -e, -b, -a, alpha))
-                else:
-                    parts.append(float(_pair_weight_1d(-f, -e, -b, -a, alpha)))
-        return ordered_sum(parts)
+    if lo.size == 1:
+        return float(_tails_1d(lo, hi, region, alpha)[0])
     if not isinstance(region, Region2D):
         raise GeometryError("region dimensionality does not match the cell")
     if region.is_empty():
@@ -752,14 +769,14 @@ def _term_line_interval(term, rho, c, s):
 
 
 def _line_pair_weights(rho, c, s, lo, hi, L, term, alpha):
-    """_pair_weight_1d of the cell chord [a, b] against the part [b + u0,
+    """Kernel mass of the cell chord [a, b] against the part [b + u0,
     b + u1] of the term beyond the box exit, on the lines rho n + t d
     with d = (c, s), n = (-s, c); rho has one row per direction.
 
-    It is F(u0) - F(u1) with F(u) = (u + w)^p - u^p, w = b - a and
-    p = 1 - alpha; this form keeps its digits when u is large against w.
-    A cell face on the box boundary gives u0 == 0 exactly, because the
-    cell exit and the box exit come from the same expression.
+    It is _chord_mass(u0, w) - _chord_mass(u1, w) with w = b - a, which
+    keeps its digits when u0 is large against w. A cell face on the box
+    boundary gives u0 == 0 exactly, because the cell exit and the box exit
+    come from the same expression.
     """
     # the line crosses x = X at t = X / c + rho s / c, y = Y at Y / s - rho c / s
     fwd_x, fwd_y = c > 0.0, s > 0.0
@@ -772,25 +789,13 @@ def _line_pair_weights(rho, c, s, lo, hi, L, term, alpha):
     w = np.maximum(b - a, 0.0)
     t_lo, t_hi = _term_line_interval(term, rho, c, s)
     # a term boundary along the box boundary meets the exit up to roundoff,
-    # which the u^p of F would magnify: such gaps are closed
+    # which the u^p of the chord mass would magnify: such gaps are closed
     snap = 1e-13 * L
     u0 = np.maximum(np.maximum(t_lo, exit_) - b, 0.0)
     u0 = np.where(u0 <= snap, 0.0, u0)
     u1 = np.maximum(t_hi - b, u0)
     u1 = np.where(u1 - u0 <= snap, u0, u1)
-    p = 1.0 - alpha
-
-    def f(u):
-        out = np.zeros(u.shape)
-        touch = u == 0.0
-        out[touch] = w[touch] ** p
-        gap = (u > 0.0) & np.isfinite(u)
-        ug = u[gap]
-        out[gap] = ug**p * np.expm1(p * np.log1p(w[gap] / ug))
-        return out
-
-    far = f(u1) if np.isfinite(u1).any() else 0.0
-    return (f(u0) - far) / (alpha * p)
+    return _chord_mass(u0, w, alpha) - _chord_mass(u1, w, alpha)
 
 
 def _theta_arcs(feat: _LineFeatures):
@@ -1008,15 +1013,10 @@ def _halfplane_marginal(d1, h, alpha):
 
     Along the boundary direction the kernel integrates to
     c |d|^-(1+alpha), c = sqrt(pi) G((1+alpha)/2) / G(1+alpha/2); the rest
-    is (d2^p - d1^p) / (alpha p), p = 1 - alpha, written so far cells keep
-    their digits.
+    is the chord mass of the cell's width at the gap d1.
     """
     c = math.sqrt(math.pi) * math.gamma(0.5 * (1.0 + alpha)) / math.gamma(1.0 + 0.5 * alpha)
-    p = 1.0 - alpha
-    out = np.full(d1.shape, h**p)
-    gap = d1 > 0.0
-    out[gap] = d1[gap] ** p * np.expm1(p * np.log1p(h / d1[gap]))
-    return c * h * out / (alpha * p)
+    return c * h * _chord_mass(d1, h, alpha)
 
 
 def _rect_sums(offsets, rows, cols):
@@ -1063,21 +1063,16 @@ def _identity_term_tails(grid: Grid, offsets, alpha, term):
 # kernel table assembly
 
 def _offsets_1d(m: int, h: float, alpha: float) -> np.ndarray:
-    """Pair weights by index offset; k >= 2 by 20-point Gauss on the positive
-    W_k = h^(1-alpha) int_0^1 (1-t) ((k+t)^(-1-alpha) + (k-t)^(-1-alpha)) dt
-    (the second difference of |x|^(1-alpha) loses k^2 ulps; the exponent
-    -alpha is exact, where a rounded -1-alpha would cost log k ulps)."""
+    """Pair weights by index offset: the touching convention or chord masses
+    at k = 1, _gauss_pair_weights_1d for k >= 2."""
     offs = np.zeros(m)
     if m >= 2:
         if alpha >= 1.0:
             offs[1] = _consistent_touch_1d(h, alpha)
         else:
-            offs[1] = float(_pair_weight_1d(0.0, h, h, 2.0 * h, alpha))
+            offs[1] = float(_chord_mass(0.0, h, alpha) - _chord_mass(h, h, alpha))
     if m >= 3:
-        t, w = _gauss01(20)
-        ks = np.arange(2, m, dtype=float)[:, None]
-        kernel = (ks + t) ** -alpha / (ks + t) + (ks - t) ** -alpha / (ks - t)
-        offs[2:] = h * h ** -alpha * (kernel @ ((1.0 - t) * w))
+        offs[2:] = _gauss_pair_weights_1d(np.arange(2, m), h, alpha)
     return offs
 
 
@@ -1227,26 +1222,15 @@ class KernelTable:
         """Tail weight of every cell against one exterior region."""
         if region not in self._tail_cache:
             g = self.grid
-            half = 0.5 * g.h
-            if g.dimension == 2 and isinstance(region, Region2D):
+            if g.dimension == 1:
+                x = g.centers[:, 0]
+                vals = _tails_1d(x - 0.5 * g.h, x + 0.5 * g.h, region, self.alpha)
+            elif isinstance(region, Region2D):
                 vals = np.zeros(g.n_cells)
                 for coef, term in region.terms:
                     vals = vals + coef * self._term_tails_2d(region.box_half, term)
             else:
-
-                def block(idx):
-                    out = np.empty(len(idx))
-                    for k, i in enumerate(idx):
-                        lo = g.centers[i] - half
-                        hi = g.centers[i] + half
-                        out[k] = tail_weight((lo, hi), region, self.alpha,
-                                             tol=self.tol)
-                    return out
-
-                chunks = np.array_split(
-                    np.arange(g.n_cells), max(1, g.n_cells // 256)
-                )
-                vals = np.concatenate(map_blocks(block, chunks))
+                raise GeometryError("region dimensionality does not match the grid")
             vals.setflags(write=False)
             self._tail_cache[region] = vals
         return self._tail_cache[region]

@@ -17,10 +17,10 @@ from fracfree.quadrature import (
     Region1D,
     Region2D,
     _cell_perimeter,
+    _chord_mass,
     _HalfplaneTerm,
     _line_cell_tail,
     _offsets_1d,
-    _pair_weight_1d,
     _pair_weight_polar_2d,
     _point_term_mass,
     datum_far_pieces,
@@ -93,16 +93,25 @@ def test_tail_overlap_is_geometry_error():
         tail_weight(C1, ray_region(0.5, +1), 0.5)
 
 
+def test_region_tails_refuse_a_region_of_the_other_dimension():
+    g1 = build_grid(GridSpec(1, 1.0, 4, 64.0, 1.0))
+    g2 = build_grid(GridSpec(2, 1.0, 2, 64.0, 1.0))
+    for grid, region in ((g2, ray_region(1.0, +1)), (g1, Region2D(1.0, ((1.0, None),)))):
+        with pytest.raises(GeometryError):
+            assemble_table(grid, 0.5).region_tails(region)
+
+
 def _subdivided_pair_weight_1d(a, b, c, d, alpha, depth):
     """Dyadic subdivision of a touching 1D pair with midpoint leaves, the
     independent reference for the touching closed form at alpha < 1. Each
     split leaves one touching sub-pair; the separated ones are exact."""
+    def pair(a, b, c, d):
+        return float(_chord_mass(c - b, b - a, alpha) - _chord_mass(d - b, b - a, alpha))
+
     parts = []
     for _ in range(depth):
         am, cm = 0.5 * (a + b), 0.5 * (c + d)
-        parts.append(float(_pair_weight_1d(a, am, c, cm, alpha)))
-        parts.append(float(_pair_weight_1d(a, am, cm, d, alpha)))
-        parts.append(float(_pair_weight_1d(am, b, cm, d, alpha)))
+        parts += [pair(a, am, c, cm), pair(a, am, cm, d), pair(am, b, cm, d)]
         a, d = am, cm
     parts.append((b - a) * (d - c) * (0.5 * (c + d) - 0.5 * (a + b)) ** (-(1.0 + alpha)))
     return ordered_sum(parts)
@@ -172,32 +181,108 @@ def test_1d_scaling_identity_touching():
         assert abs(w2 - r ** (1.0 - alpha) * w1) <= 1e-12 * abs(w2)
 
 
-@pytest.mark.parametrize("alpha", [0.1, 0.3, 1.0, 1.2, 1.9])
+NEAR_ONE = 1.0 - 2.0**-20
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, NEAR_ONE, 1.0, 1.2, 1.9])
 def test_1d_far_offsets_match_a_50_digit_reference(alpha):
     # W_k = h^p (2k^p - (k-1)^p - (k+1)^p) / (alpha p), p = 1 - alpha, is the
     # exact pair weight; at 50 digits its cancellation (about k^2) is harmless
-    # (alpha = 1 takes the limit of the log form)
+    # (alpha = 1 takes the limit of the log form). cell_pair_weight of unit
+    # cells k apart must give the same weight at h = 1.
     from decimal import Decimal, localcontext
 
     m, h = 4096, 0.1
-    offsets = _offsets_1d(m, h, alpha)
+    ks = [2, 3, 5, 10, 100, 1000, 2500, 4000, m - 1]
+    offsets = _offsets_1d(m, h, alpha)[ks]
+    pairs = np.array([cell_pair_weight(C1, ((float(k),), (k + 1.0,)), alpha) for k in ks])
     with localcontext() as ctx:
         ctx.prec = 50
-        a, hh = Decimal(alpha), Decimal(h)
+        a = Decimal(alpha)
         p = 1 - a
 
-        def exact(k):
+        def exact(k, hh):
             k = Decimal(k)
             if p == 0:
                 return float(2 * k.ln() - (k - 1).ln() - (k + 1).ln())
             second = 2 * k**p - (k - 1) ** p - (k + 1) ** p
             return float(hh**p * second / (a * p))
 
-        ks = [2, 3, 5, 10, 100, 1000, 2500, 4000, m - 1]
-        reference = np.array([exact(k) for k in ks])
+        reference = np.array([exact(k, Decimal(h)) for k in ks])
+        unit = np.array([exact(k, Decimal(1)) for k in ks])
     assert np.all(reference > 0.0)
-    rel = np.abs(offsets[ks] - reference) / reference
-    assert rel.max() <= 2e-15, rel
+    for got, ref in ((offsets, reference), (pairs, unit)):
+        rel = np.abs(got - ref) / ref
+        assert rel.max() <= 2e-15, rel
+
+
+def _decimal_chord_mass(u, w, a):
+    """((u + w)^p - u^p) / (a p), p = 1 - a, in the current decimal context;
+    log((u + w) / u) at a = 1, 0 at u = inf (None)."""
+    if u is None:
+        return 0
+    p = 1 - a
+    if p == 0:
+        return ((u + w) / u).ln()
+    return ((u + w) ** p - u**p) / (a * p)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.999, NEAR_ONE, 1.0, 1.2, 1.9])
+def test_1d_tails_match_a_50_digit_reference(alpha):
+    # the cell [0, h] against a ray, a doubling shell and a one-cell interval
+    # at gaps u of 1 to 2000 cells, on either side: each is the chord-mass
+    # difference F(u) - F(far), evaluated at 50 digits; the one-cell interval
+    # cancels about log10(u / h) digits of it
+    from decimal import Decimal, localcontext
+
+    h = 2.0**-10
+    cell = ((0.0,), (h,))
+    for g in (1, 2, 3, 10, 100, 1000, 2000):
+        u = g * h
+        cases = {  # far end of each piece, as a gap from the cell
+            "ray": (math.inf, None, 4e-15),
+            "shell": (2.0 * u, 2 * Decimal(u), 4e-15),
+            "one cell": (u + h, Decimal(u + h), 1e-12),
+        }
+        for name, (far, far_dec, tol) in cases.items():
+            with localcontext() as ctx:
+                ctx.prec = 50
+                a, hh = Decimal(alpha), Decimal(h)
+                exact = float(_decimal_chord_mass(Decimal(u), hh, a)
+                              - _decimal_chord_mass(far_dec, hh, a))
+            for piece in ((h + u, h + far), (-far, -u)):
+                got = tail_weight(cell, Region1D((piece,)), alpha)
+                assert abs(got - exact) <= tol * exact, (name, g, piece, got, exact)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.0 + 2.0**-20, 1.2, 1.9])
+def test_1d_touching_tails_match_their_convention_at_50_digits(alpha):
+    # alpha >= 1: DEPTH_1D dyadic slabs of the cell toward the contact point,
+    # slab k of width and gap h 2^-(k+1), and h 2^-DEPTH_1D times the kernel
+    # mass seen from the midpoint of the last sliver
+    from decimal import Decimal, localcontext
+
+    from fracfree.quadrature import DEPTH_1D
+
+    h = 2.0**-10
+    cell = ((0.0,), (h,))
+    for length in (math.inf, h, 1000.0 * h):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a, hh = Decimal(alpha), Decimal(h)
+            ell = None if math.isinf(length) else Decimal(length)
+            parts = []
+            for k in range(DEPTH_1D):
+                gap = hh / 2 ** (k + 1)
+                parts.append(_decimal_chord_mass(gap, gap, a)
+                             - _decimal_chord_mass(None if ell is None else ell + gap, gap, a))
+            sliver = hh / 2**DEPTH_1D
+            r = sliver / 2
+            point = r ** (-a) - (0 if ell is None else (r + ell) ** (-a))
+            exact = float(sum(parts) + sliver * point / a)
+        for piece in ((h, h + length), (-length, 0.0)):
+            got = tail_weight(cell, Region1D((piece,)), alpha)
+            assert abs(got - exact) <= 1e-15 * exact, (length, piece, got, exact)
 
 
 def test_assemble_table_counts_and_symmetry():
