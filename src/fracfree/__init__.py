@@ -48,11 +48,9 @@ from .quadrature import (
     tail_weight,
 )
 from .energy import (
-    CellSelection,
     EnergyBreakdown,
     frac_perimeter,
     gagliardo_energy,
-    interaction,
     total_energy,
 )
 from .operators import ResidualField, frac_laplacian, harmonicity_residual

@@ -494,10 +494,11 @@ def _weiss_radii(cfg, grid):
 
 def _run_weiss_scan(cfg, run_dir):
     synthetic = isinstance(cfg.datum.func, ConeF)
-    g, tg, tp = _tables(cfg)
+    g = build_grid(cfg.grid_spec)
     pair = make_pair(*sample_datum(cfg.datum, g))
     kkt = 0.0
     if not synthetic:
+        _, tg, tp = _tables(cfg, g)
         report = alternate_minimize(pair, cfg.solver, tg, tp)
         pair, kkt = report.pair, report.qp_kkt
     hg = _half_grid(cfg, g)
@@ -528,7 +529,7 @@ def _run_weiss_scan(cfg, run_dir):
 
 
 def _run_blowup(cfg, run_dir):
-    g, tg, tp = _tables(cfg)
+    g = build_grid(cfg.grid_spec)
     pair = make_pair(*sample_datum(cfg.datum, g))
     scales = [int(k) for k in cfg.experiment_params.get("scales", [1, 2])]
     ts = np.asarray(cfg.experiment_params.get("radii", [0.5, 0.75, 1.0]), dtype=float)

@@ -1,8 +1,8 @@
 """Assembly of the nonlocal energies from kernel tables.
 
-Three quantities: the raw interaction L(A,B) between disjoint collections,
-the fractional perimeter of a phase set relative to the minimization ball,
-and the Gagliardo energy of a function over all pairs meeting the ball.
+Two quantities: the fractional perimeter of a phase set relative to the
+minimization ball, and the Gagliardo energy of a function over all pairs
+meeting the ball.
 Every exterior contribution reduces to per-cell tail weights or datum
 moment triples served by the kernel table.
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, ParameterError
+from .errors import ParameterError
 from .model import AdmissiblePair, DiscreteFunction, FractionalParams, PhaseSet
 from .numerics import ordered_sum
 from .quadrature import KernelTable
@@ -39,35 +39,6 @@ class EnergyBreakdown:
     @property
     def total(self) -> float:
         return self.gagliardo + self.perimeter
-
-
-@dataclass(frozen=True)
-class CellSelection:
-    """A collection of grid cells plus an optional symbolic exterior region."""
-
-    cells: tuple
-    region: object = None
-
-
-def interaction(a: CellSelection, b: CellSelection, table: KernelTable) -> float:
-    """L(A, B): kernel mass between two disjoint collections."""
-    ia = np.asarray(a.cells, dtype=int)
-    ib = np.asarray(b.cells, dtype=int)
-    if np.intersect1d(ia, ib).size:
-        raise GeometryError("interaction sides share cells")
-    if a.region is not None and b.region is not None:
-        raise GeometryError("region-to-region interactions are not supported")
-    parts = []
-    if ia.size and ib.size:
-        dense = table.dense_matrix()
-        parts.append(ordered_sum(dense[np.ix_(ia, ib)]))
-    if b.region is not None and ia.size:
-        tails = table.region_tails(b.region)
-        parts.append(ordered_sum(tails[ia]))
-    if a.region is not None and ib.size:
-        tails = table.region_tails(a.region)
-        parts.append(ordered_sum(tails[ib]))
-    return ordered_sum(parts)
 
 
 def _check_exponent(table: KernelTable, expected: float, label: str) -> None:
@@ -95,7 +66,7 @@ def _per_row(x: np.ndarray, values: np.ndarray):
 class _MaskedForm:
     """One energy term split by a cell mask (default: the minimization ball).
 
-    Apart from interaction, the only reader of the dense table: w_in pairs the in-mask cells,
+    The only reader of the dense table: w_in pairs the in-mask cells,
     w_cross pairs them with the rest of the box, and row_sums is the
     kernel mass of each in-mask cell against the whole box. Subclasses fold
     the rest-of-box values and the exterior tails into lin and const.

@@ -30,7 +30,9 @@ Both the energy and the Poisson extension read an exterior datum beyond
 a box as constant pieces (value, region) from datum_far_pieces: the
 table sums the pieces' tails into the moments T0, M1 and M2, and the
 extension rows add the pieces' far masses. Tabulated shells are clipped at
-the box, and a table starting beyond it is refused.
+the box, and a table starting beyond it is refused. A 1D homogeneous
+profile integrates by parts into its value at the box times the ray tails
+plus its derivative against chord masses, with Gauss in one variable.
 
 For alpha >= 1 the exact integral over touching geometry diverges and
 fixed conventions replace it: in 1D a closed form for touching pairs and
@@ -71,6 +73,7 @@ CACHE_VERSION = 4
 NEAR_FACTOR = 2.0          # subdivide cells nearer the box boundary than this many diameters
 DEPTH_1D = 12
 DEPTH_2D = 6
+_TOUCH_SNAP = 1e-12        # 1D edges within this many cell widths touch
 
 
 def _check_alpha(alpha: float) -> None:
@@ -224,22 +227,18 @@ def _ray_tent_integral(theta, delta, wa, wb, alpha):
     d = (math.cos(theta), math.sin(theta))
     lo_t, hi_t = 0.0, math.inf
     kinks = []
-    lin = []
     for k in range(2):
         half_sum = 0.5 * (wa[k] + wb[k])
         half_diff = 0.5 * abs(wa[k] - wb[k])
         if d[k] == 0.0:
             if _trap_value(0.0, delta[k], wa[k], wb[k]) <= 0.0:
                 return 0.0
-            lin.append(None)
             continue
         z0 = (delta[k] - half_sum) / d[k]
         z1 = (delta[k] + half_sum) / d[k]
         lo_t = max(lo_t, min(z0, z1))
         hi_t = min(hi_t, max(z0, z1))
-        for kk in ((delta[k] - half_diff) / d[k], (delta[k] + half_diff) / d[k]):
-            kinks.append(kk)
-        lin.append(k)
+        kinks += [(delta[k] - half_diff) / d[k], (delta[k] + half_diff) / d[k]]
     lo_t = max(lo_t, 0.0)
     if hi_t <= lo_t:
         return 0.0
@@ -253,9 +252,6 @@ def _ray_tent_integral(theta, delta, wa, wb, alpha):
             if val <= 0.0:
                 coeffs = None
                 break
-            if d[k] == 0.0:
-                coeffs.append((val, 0.0))
-                continue
             plateau = abs(tm * d[k] - delta[k]) <= 0.5 * abs(wa[k] - wb[k])
             if plateau:
                 coeffs.append((val, 0.0))
@@ -293,8 +289,6 @@ def _pair_weight_polar_2d(delta, wa, wb, alpha, order=12):
     xs, ws = _gauss01(order)
     total = 0.0
     for a0, a1 in zip(arcs[:-1], arcs[1:]):
-        if a1 <= a0:
-            continue
         width = a1 - a0
         for x, w in zip(xs, ws):
             total += width * w * _ray_tent_integral(a0 + width * x, delta, wa, wb, alpha)
@@ -307,7 +301,8 @@ def cell_pair_weight(cell_a, cell_b, alpha: float, tol: float = 1e-9) -> float:
     Identical cells use the same-cell convention (weight 0). Overlapping
     distinct cells are a geometry error. Touching pairs with alpha >= 1 take
     a convention in place of the divergent integral: the closed form of
-    _consistent_touch_1d in 1D, the midpoint value in 2D.
+    _consistent_touch_1d in 1D, the midpoint value in 2D. Edges within
+    _TOUCH_SNAP cell widths of each other touch in 1D and do not overlap.
     """
     _check_alpha(alpha)
     lo_a, hi_a = _normalize_cell(cell_a)
@@ -316,13 +311,15 @@ def cell_pair_weight(cell_a, cell_b, alpha: float, tol: float = 1e-9) -> float:
     if np.array_equal(lo_a, lo_b) and np.array_equal(hi_a, hi_b):
         return 0.0
     gaps = np.maximum(lo_a - hi_b, lo_b - hi_a)
-    if (gaps < 0.0).all():
+    snap = _TOUCH_SNAP * max(hi_a[0] - lo_a[0], hi_b[0] - lo_b[0]) if n == 1 else 0.0
+    if (gaps < -snap).all():
         raise GeometryError("distinct cells overlap")
     if n == 1:
         if lo_b[0] < lo_a[0]:
             lo_a, hi_a, lo_b, hi_b = lo_b, hi_b, lo_a, hi_a
         (a, b), (c, d) = (lo_a[0], hi_a[0]), (lo_b[0], hi_b[0])
-        if b >= c and alpha >= 1.0:
+        near = c - b if c - b > snap else 0.0
+        if near == 0.0 and alpha >= 1.0:
             if not np.isclose(b - a, d - c):
                 raise ParameterError(
                     "touching pairs with alpha >= 1 are regularized for "
@@ -335,7 +332,7 @@ def cell_pair_weight(cell_a, cell_b, alpha: float, tol: float = 1e-9) -> float:
         k = (0.5 * (c + d) - 0.5 * (a + b)) / h
         if abs((d - c) - (b - a)) <= 1e-12 * h and k >= 2.0:
             return float(_gauss_pair_weights_1d(k, h, alpha))
-        return float(_chord_mass(c - b, b - a, alpha) - _chord_mass(d - b, b - a, alpha))
+        return float(_chord_mass(near, b - a, alpha) - _chord_mass(d - b, b - a, alpha))
     delta = 0.5 * (lo_a + hi_a) - 0.5 * (lo_b + hi_b)
     wa, wb = hi_a - lo_a, hi_b - lo_b
     touching = bool((gaps <= 0.0).all())
@@ -471,15 +468,11 @@ def _set_terms_2d(set_spec):
     raise IncompleteDatumError(f"no 2D exterior region for set {set_spec!r}")
 
 
-def _complement_terms(terms):
-    return tuple([(1.0, None)] + [(-c, t) for c, t in terms])
-
-
 def _set_regions(set_spec, L: float, dimension: int):
     if dimension == 1:
         return _set_regions_1d(set_spec, L)
     pos = tuple(_set_terms_2d(set_spec))
-    return Region2D(L, pos), Region2D(L, _complement_terms(pos))
+    return Region2D(L, pos), Region2D(L, ((1.0, None),) + tuple((-c, t) for c, t in pos))
 
 
 def set_exterior_regions(set_spec, grid: Grid):
@@ -525,20 +518,22 @@ def datum_far_pieces(func_spec, L: float, dimension: int):
     return pieces
 
 
-def _touching_tail_1d(w, length, alpha):
+def _touching_tail_1d(u, w, length, alpha):
     """Convention for a cell of width w touching a piece of the given length
-    (maybe inf) at alpha >= 1: DEPTH_1D dyadic slabs toward the contact
+    (maybe inf) at alpha >= 1, with the piece moved a gap u >= 0 away, in
+    parts along a new last axis: DEPTH_1D dyadic slabs toward the contact
     point, each a chord mass, and the midpoint value on the last sliver.
-    Measured from the contact point every slab edge is exact. The kernel
-    mass r^(-alpha) int_1^(1+length/r) t^(-1-alpha) dt seen from the
-    sliver's midpoint r is a chord mass at alpha + 1, taken in units of r
-    so that rounding alpha + 1 costs no log r ulps."""
+    At u = 0 every slab edge is exact, measured from the contact point. The
+    kernel mass r^(-alpha) int_1^(1+length/r) t^(-1-alpha) dt seen from the
+    sliver's midpoint at gap r is a chord mass at alpha + 1, taken in units
+    of r so that rounding alpha + 1 costs no log r ulps."""
+    u, w = (np.asarray(v, dtype=float)[..., None] for v in (u, w))
     gap = w * 2.0 ** -np.arange(1, DEPTH_1D + 1)   # slab k: width and gap
-    slabs = _chord_mass(gap, gap, alpha) - _chord_mass(length + gap, gap, alpha)
+    slabs = _chord_mass(u + gap, gap, alpha) - _chord_mass(u + gap + length, gap, alpha)
     sliver = w * 2.0 ** -DEPTH_1D
-    r = 0.5 * sliver
+    r = u + 0.5 * sliver
     mid = r**-alpha * (1.0 + alpha) * _chord_mass(1.0, length / r, 1.0 + alpha)
-    return ordered_sum(np.append(slabs, sliver * mid))
+    return np.concatenate([slabs, sliver * mid], axis=-1)
 
 
 def _tails_1d(e, f, region, alpha):
@@ -546,7 +541,8 @@ def _tails_1d(e, f, region, alpha):
 
     Each piece is a chord-mass difference on every cell; a piece touching a
     cell at alpha >= 1 takes _touching_tail_1d on that cell instead. A
-    cell's pieces are summed exactly rounded.
+    cell's pieces, and the parts of a touching one, are summed exactly
+    rounded.
     """
     if not isinstance(region, Region1D):
         raise GeometryError("region dimensionality does not match the cell")
@@ -555,16 +551,61 @@ def _tails_1d(e, f, region, alpha):
     for j, (a, b) in enumerate(region.pieces):
         if np.any(np.minimum(b, f) - np.maximum(a, e) > 1e-9 * w):
             raise GeometryError("region overlaps the cell")
-        # a piece right of a cell's left edge lies beyond it: a positive
-        # overlap is roundoff overhang against the box boundary, a touch
+        # a piece right of a cell's left edge lies beyond it: an overlap or
+        # gap within roundoff of the box boundary is a touch
         right = a > e
-        near = np.maximum(np.where(right, a - f, e - b), 0.0)
+        near = np.where(right, a - f, e - b)
+        near = np.where(near <= _TOUCH_SNAP * w, 0.0, near)
         far = np.where(right, b - f, e - a)
         parts[:, j] = _chord_mass(near, w, alpha) - _chord_mass(far, w, alpha)
         if alpha >= 1.0:
             for i in np.flatnonzero(near == 0.0):
-                parts[i, j] = _touching_tail_1d(w[i], far[i], alpha)
+                parts[i, j] = ordered_sum(_touching_tail_1d(0.0, w[i], far[i], alpha))
     return np.array([math.fsum(row) for row in parts.tolist()])
+
+
+def _ray_power_moments(gap, w, tails, L, q, alpha, tol):
+    """int_L^inf t^q k_i(t) dt for cells of width w a gap before the ray
+    (L, inf), k_i the kernel mass of cell i seen from t. By parts it is
+    L^q tails + q int_0^inf (L + u)^(q-1) K_i(L + u) du, with K_i(t) the
+    cell's tail against (t, inf) and tails = K_i(L). Only the remainder is
+    quadrature: clustered Gauss on [0, s], s the touching sliver's width;
+    Gauss in log u on [s, 4L]; clustered Gauss in x on [4L, inf) with
+    u = 4L x^(-1/mu), mu = alpha - q, which makes the decay u^(-1-mu)
+    constant. The order doubles until no cell's result moves by more than
+    tol relative to itself, or warns at the order cap."""
+    if q == 0.0:
+        return tails
+    touch = (gap == 0.0) & (alpha >= 1.0)
+    mu, far, sliver = alpha - q, 4.0 * L, w * 2.0**-DEPTH_1D
+    span = math.log(far / sliver)
+
+    def remainder(n):
+        xc, wc = _clustered01(n)
+        xg, wg = _gauss01(n)
+        u = np.concatenate([sliver * xc, sliver * np.exp(span * xg)])
+        z = np.maximum(xc ** (1.0 / mu) / far, 1e-280 / w)   # 1 / u beyond 4L, kept normal
+        du = np.concatenate([sliver * wc, span * u[n:] * wg, wc / z * far**-mu / mu])
+        grow = np.concatenate([(L + u) ** (q - 1.0), (1.0 + L * z) ** (q - 1.0)])
+        # K_i at every node, beyond 4L with the gap and the width in units of u
+        gaps = np.concatenate([gap[:, None] + u, 1.0 + gap[:, None] * z], axis=1)
+        widths = np.broadcast_to(np.concatenate([np.full(2 * n, w), w * z]), gaps.shape)
+        k = _chord_mass(gaps, widths, alpha)
+        k[touch] = _touching_tail_1d(gaps[touch], widths[touch], math.inf, alpha).sum(axis=-1)
+        return k @ (grow * du)
+
+    n, rem = LINE_ORDER_START, remainder(LINE_ORDER_START)
+    while True:
+        n *= 2
+        rem, last = remainder(n), rem
+        total = L**q * tails + q * rem
+        moved = float(np.max(np.abs(q * (rem - last) / total), initial=0.0))
+        if moved <= tol or n >= LINE_ORDER_MAX:
+            break
+    if moved > tol:
+        warnings.warn(f"homogeneous-profile moments stopped at order {n} with relative "
+                      f"change {moved:.2e} > tol {tol:.1e}", RuntimeWarning, stacklevel=5)
+    return total
 
 
 def tail_weight(cell, region, alpha: float, tol: float = 1e-8) -> float:
@@ -636,7 +677,7 @@ def _cell_leaves_2d(lo, hi, box_half, depth):
 # every piece, so the integrand is smooth inside each piece up to algebraic
 # endpoint singularities that the clustering absorbs.
 
-LINE_ORDER_START = 8          # per-arc Gauss orders of the line engine and the point rule
+LINE_ORDER_START = 8          # Gauss orders of the line engine, point rule and profile moments
 LINE_ORDER_MAX = 128
 _LINE_BLOCK = 1 << 17      # line nodes evaluated per vectorized pass
 _CLUSTER_CACHE: dict = {}
@@ -1063,22 +1104,16 @@ def _identity_term_tails(grid: Grid, offsets, alpha, term):
 # kernel table assembly
 
 def _offsets_1d(m: int, h: float, alpha: float) -> np.ndarray:
-    """Pair weights by index offset: the touching convention or chord masses
+    """Pair weights by index offset: cell_pair_weight of two touching cells
     at k = 1, _gauss_pair_weights_1d for k >= 2."""
     offs = np.zeros(m)
-    if m >= 2:
-        if alpha >= 1.0:
-            offs[1] = _consistent_touch_1d(h, alpha)
-        else:
-            offs[1] = float(_chord_mass(0.0, h, alpha) - _chord_mass(h, h, alpha))
-    if m >= 3:
-        offs[2:] = _gauss_pair_weights_1d(np.arange(2, m), h, alpha)
+    offs[1] = cell_pair_weight(((0.0,), (h,)), ((h,), (2.0 * h,)), alpha)
+    offs[2:] = _gauss_pair_weights_1d(np.arange(2, m), h, alpha)
     return offs
 
 
 def _offsets_2d(m: int, h: float, alpha: float) -> np.ndarray:
     offs = np.zeros((m, m))
-    cell = (np.array([0.0, 0.0]), np.array([h, h]))
     widths = np.array([h, h])
 
     def row(dx: int) -> np.ndarray:
@@ -1129,7 +1164,7 @@ def _load_cached_offsets(path: str, header: dict):
     file written under another header.
     """
     try:
-        with np.load(path, allow_pickle=False) as payload:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as payload:
             if json.loads(str(payload["header"])) != header:
                 return None
             return payload["offsets"].copy()
@@ -1274,7 +1309,8 @@ class KernelTable:
         against the kernel, M2_i the squared datum. Every supported datum
         reduces to this triple, which is all the energy and the operator
         need of the far field: sums over the pieces of datum_far_pieces, or
-        exact quadrature for a homogeneous profile. M2 can be skipped
+        for a homogeneous profile the ray tails plus a chord-mass
+        quadrature converged to the table's tol. M2 can be skipped
         (operator use): square moments of a growing profile may diverge
         while M1 still exists.
         """
@@ -1299,69 +1335,33 @@ class KernelTable:
         return out
 
     def _cone_moments(self, func: ConeF, need_m2: bool = True):
-        """Datum moments for a homogeneous profile, by adaptive quadrature.
-
-        Integrability requires degree < alpha for M1 and 2*degree < alpha
-        for M2 (otherwise the far field is not energy-admissible).
-        """
+        """Datum moments for a homogeneous profile: each side adds
+        (amp g)^p int_L^inf t^(degree p) k_i(t) dt to M_p, p = 1, 2, from
+        _ray_power_moments, with the left side's cells reflected and a side
+        with g = 0 skipped; each side meets tol relative to itself. They exist
+        for degree < alpha (M1) and 2*degree < alpha (M2)."""
         g = self.grid
         if g.dimension != 1:
             raise IncompleteDatumError("homogeneous-profile tails supported in 1D only")
-        kappa = func.degree
-        alpha = self.alpha
-        if kappa >= alpha:
+        kappa, alpha, power = func.degree, self.alpha, 2 if need_m2 else 1
+        if power * kappa >= alpha:
             raise IncompleteDatumError(
-                f"profile degree {kappa} has no kernel moment at exponent {alpha} "
-                f"(needs degree < alpha)"
-            )
-        if need_m2 and 2.0 * kappa >= alpha:
-            raise IncompleteDatumError(
-                f"profile degree {kappa} is not square-integrable against the "
-                f"exponent-{alpha} kernel tail (needs 2*degree < alpha)"
-            )
-        from scipy.integrate import quad
+                f"profile degree {kappa} has no kernel moment of power {power} at "
+                f"exponent {alpha} (needs {power}*degree < alpha)")
+        L, m = g.spec.half_width, g.n_cells
+        # the cells, then the left side's cells reflected onto the right
+        c = np.concatenate([g.centers[:, 0], -g.centers[:, 0]])
+        e, f = c - 0.5 * g.h, c + 0.5 * g.h
+        tails = _tails_1d(e, f, ray_region(L, +1), alpha)
+        gap = np.where(L - f <= _TOUCH_SNAP * g.h, 0.0, L - f)
+        coef = np.repeat(func.amp * np.asarray(func.profile, dtype=float), m)
+        live = coef != 0.0
 
-        L = g.spec.half_width
-        h = g.h
-        gplus, gminus = func.profile
-        amp = func.amp
-        both_rays = Region1D(((L, math.inf), (-math.inf, -L)))
-        t0 = self.region_tails(both_rays).copy()
-        m1 = np.zeros(g.n_cells)
-        m2 = np.zeros(g.n_cells)
-        for i in range(g.n_cells):
-            e = g.centers[i, 0] - 0.5 * h
-            f = g.centers[i, 0] + 0.5 * h
-            for gval, lo_ref, hi_ref in ((gplus, e, f), (gminus, -f, -e)):
-                if gval == 0.0:
-                    continue
-                # reflected cell for the left ray; exterior variable t > L
-                touching = hi_ref >= L - 1e-12 * L
-                if touching and alpha >= 1.0:
-                    # depth-limited sliver, matching the regularized T0
-                    delta = (hi_ref - lo_ref) * 2.0 ** (-DEPTH_1D)
-                    hi_eff = hi_ref - delta
-                    mid = hi_ref - 0.5 * delta
+        def moment(p):
+            sides = np.zeros(2 * m)
+            sides[live] = coef[live]**p * _ray_power_moments(
+                gap[live], g.h, tails[live], L, kappa * p, alpha, self.tol)
+            return sides[:m] + sides[m:]
 
-                    def kern(t, lo=lo_ref, hi=hi_eff, d=delta, m=mid):
-                        base = ((t - hi) ** (-alpha) - (t - lo) ** (-alpha)) / alpha
-                        return base + d * (t - m) ** (-1.0 - alpha)
-                else:
-                    def kern(t, lo=lo_ref, hi=hi_ref):
-                        return ((t - hi) ** (-alpha) - (t - lo) ** (-alpha)) / alpha
-
-                def moment(power):
-                    # quad's roundoff-stall warning on the decaying far part
-                    # is benign at this tolerance; full_output suppresses it
-                    coef = (amp * gval) ** power
-                    fn = lambda t: coef * t ** (kappa * power) * kern(t)
-                    near = quad(fn, L, L + 2.0 * h, epsabs=0.0, epsrel=1e-10,
-                                limit=200, full_output=1)
-                    far = quad(fn, L + 2.0 * h, math.inf, epsabs=0.0,
-                               epsrel=1e-10, limit=400, full_output=1)
-                    return near[0] + far[0]
-
-                m1[i] += moment(1)
-                if need_m2:
-                    m2[i] += moment(2)
-        return t0, m1, (m2 if need_m2 else None)
+        # both rays' tails, exactly as region_tails sums its two pieces
+        return tails[:m] + tails[m:], moment(1), (moment(2) if need_m2 else None)

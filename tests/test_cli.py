@@ -338,9 +338,9 @@ def test_energy_bound_experiment_smoke(tmp_path):
     assert len(report.scalars["ratios"]) == 2
 
 
-def test_blowup_experiment_smoke(tmp_path):
-    cfg = minimal_config(
-        tmp_path,
+def _blowup_config(outdir):
+    return minimal_config(
+        outdir,
         experiment="blowup",
         grid={"dimension": 1, "half_width": 1.25, "cells_per_side": 64,
               "truncation_radius": 80.0, "domain_radius": 1.0},
@@ -349,9 +349,29 @@ def test_blowup_experiment_smoke(tmp_path):
         extension={"ratio": 1.15},
         experiment_params={"scales": [1], "radii": [0.5, 1.0]},
     )
-    report = run_experiment(validate_config(cfg))
+
+
+def test_blowup_experiment_smoke(tmp_path):
+    report = run_experiment(validate_config(_blowup_config(tmp_path)))
     assert report.verdicts["scaling_identity"]
     assert report.scalars["identity_max_rel_err"] <= 1e-10
+
+
+def test_cone_datum_runs_build_no_kernel_table(tmp_path, monkeypatch):
+    # blowup and a weiss-scan of a homogeneous datum read only the Poisson
+    # extension, so neither may pay for a kernel table
+    from fracfree import cli as cli_mod
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("kernel table built")
+
+    monkeypatch.setattr(cli_mod, "assemble_table", no_table)
+    report = run_experiment(validate_config(_blowup_config(tmp_path)))
+    assert report.verdicts["scaling_identity"]
+    scan = dict(_blowup_config(tmp_path), experiment="weiss-scan",
+                experiment_params={"radii": [0.5, 1.0]})
+    report = run_experiment(validate_config(scan))
+    assert report.scalars["synthetic"]
 
 
 def test_main_seed_and_outdir_overrides(tmp_path, capsys):

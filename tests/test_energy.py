@@ -5,7 +5,6 @@ import pytest
 
 from fracfree import (
     FractionalParams,
-    GeometryError,
     GridSpec,
     ParameterError,
     assemble_table,
@@ -18,11 +17,9 @@ from fracfree import (
     tabulated_datum,
 )
 from fracfree.energy import (
-    CellSelection,
     PerimeterForm,
     frac_perimeter,
     gagliardo_energy,
-    interaction,
     total_energy,
 )
 from fracfree.model import DiscreteFunction, FullSet, HalfspaceSet, PhaseSet
@@ -36,25 +33,6 @@ def setup_1d():
     g = build_grid(GridSpec(1, 2.0, 16, 128.0, 1.0))
     table = assemble_table(g, 0.5)
     return g, table
-
-
-def test_interaction_golden_value(setup_1d):
-    g, table = setup_1d
-    # whole cells tiling (0,1) and (1,2): closed-form 8-4*sqrt(2)
-    x = g.centers[:, 0]
-    a = CellSelection(tuple(np.flatnonzero((x > 0) & (x < 1))))
-    b = CellSelection(tuple(np.flatnonzero((x > 1) & (x < 2))))
-    val = interaction(a, b, table)
-    assert val == pytest.approx(8.0 - 4.0 * SQRT2, rel=1e-10)
-    assert interaction(b, a, table) == val
-
-
-def test_interaction_empty_and_overlap(setup_1d):
-    g, table = setup_1d
-    a = CellSelection((0, 1, 2))
-    assert interaction(a, CellSelection(()), table) == 0.0
-    with pytest.raises(GeometryError):
-        interaction(a, CellSelection((2, 3)), table)
 
 
 def test_perimeter_golden_value(setup_1d):

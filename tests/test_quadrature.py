@@ -1,4 +1,6 @@
+import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +287,20 @@ def test_1d_touching_tails_match_their_convention_at_50_digits(alpha):
             assert abs(got - exact) <= 1e-15 * exact, (length, piece, got, exact)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.2])
+def test_grid_neighbours_touch_across_roundoff_gaps(alpha):
+    # h = 0.3 / 1024 is not dyadic: neighbours built as centre -+ h/2 meet
+    # with gaps of about 1e-17, which must not split them apart
+    g = build_grid(GridSpec(1, 0.3, 2048, 128.0, 0.2))
+    table = assemble_table(g, alpha)
+    lo, hi = g.centers[:, 0] - 0.5 * g.h, g.centers[:, 0] + 0.5 * g.h
+    assert np.any(lo[1:] != hi[:-1])
+    touch = table.offset_weights[1]
+    for i in range(g.n_cells - 1):
+        got = cell_pair_weight(((lo[i],), (hi[i],)), ((lo[i + 1],), (hi[i + 1],)), alpha)
+        assert abs(got - touch) <= 1e-12 * touch, (i, got, touch)
+
+
 def test_assemble_table_counts_and_symmetry():
     g = build_grid(GridSpec(1, 1.0, 4, 64.0, 1.0))
     table = assemble_table(g, 0.5)
@@ -359,7 +375,12 @@ def test_table_cache_recomputes_truncated_file(tmp_path, keep):
     assemble_table(g, 0.5, cache_dir=str(tmp_path))
     (path,) = tmp_path.iterdir()
     path.write_bytes(path.read_bytes()[:keep])
-    rebuilt = assemble_table(g, 0.5, cache_dir=str(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rebuilt = assemble_table(g, 0.5, cache_dir=str(tmp_path))
+        gc.collect()
+    # the unreadable file was closed on the failing path too
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert np.array_equal(rebuilt.offset_weights, fresh.offset_weights)
     # the rewritten file is whole and replaced the truncated one in place
     assert list(tmp_path.iterdir()) == [path]
@@ -799,3 +820,127 @@ def test_tabulated_first_moment_against_quad():
             for a, b in zip(cuts[:-1], cuts[1:]):
                 ref += quad(integrand, a, b, epsabs=0.0, epsrel=1e-11, limit=200)[0]
         assert m1[i] == pytest.approx(ref, rel=1e-9)
+
+
+def _mp_ray_moment(mp, e, f, q, alpha, L, touch):
+    """int_L^inf t^q k(t) dt at 30 digits, k the kernel mass of the cell
+    [e, f] seen from t. A touching cell at alpha >= 1 takes its convention:
+    the cell minus its last 2^-DEPTH_1D sliver, exactly, plus the sliver's
+    midpoint mass. Beyond T = 16 L the kernel is its binomial series in
+    1/t, integrated term by term; below it, Gauss-Legendre on intervals
+    growing geometrically from the nearest singularity."""
+    from fracfree.quadrature import DEPTH_1D
+
+    a, q, L, e, f = (mp.mpf(v) for v in (alpha, q, L, e, f))
+    delta = (f - e) / 2**DEPTH_1D if touch else 0
+    near, mid = f - delta, f - delta / 2
+    gn, ge, gm = L - near, L - e, L - mid
+
+    def k(v):  # t^q k(t) at t = L + v
+        val = ((v + gn) ** -a - (v + ge) ** -a) / a
+        if touch:
+            val += delta * (v + gm) ** (-1 - a)
+        return (L + v) ** q * val
+
+    T = 16 * L
+    total = sum(mp.rf(a, j) / mp.factorial(j) * (near**j - e**j)
+                * T ** (q - a - j + 1) / (a * (a + j - 1 - q)) for j in range(1, 60))
+    if touch:
+        total += delta * sum(mp.rf(1 + a, j) / mp.factorial(j) * mid**j
+                             * T ** (q - a - j) / (a + j - q) for j in range(60))
+    s = gm if touch else gn
+    pts = [0]
+    if s == 0:
+        # touching at alpha < 1: v = y^(1/p) removes the v^-alpha singularity
+        s, p = (f - e) / 2**14, 1 - a
+        total += mp.quad(lambda y: k(y ** (1 / p)) * y ** (1 / p - 1) / p, [0, s**p])
+        pts = []
+    while s < T - L:
+        pts.append(s)
+        s *= 4
+    return total + mp.quad(k, pts + [T - L], method="gauss-legendre")
+
+
+@pytest.mark.parametrize("alpha, m", [(0.3, 16), (0.6, 16), (1.0, 16), (1.2, 16),
+                                      (1.6, 16), (1.2, 64)])
+def test_homogeneous_profile_moments_match_30_digits(alpha, m):
+    # M_p = sum over the sides of (amp g)^p int_L^inf t^(kappa p) k(t) dt,
+    # the left side's cells reflected; kappa runs from 0 to just below
+    # alpha / 2 (M2) and alpha (M1), with both profile signs
+    mp = pytest.importorskip("mpmath")
+    from fracfree.model import ConeF
+
+    L = 1.0
+    g = build_grid(GridSpec(1, L, m, 64.0, 1.0))
+    e, f = g.centers[:, 0] - 0.5 * g.h, g.centers[:, 0] + 0.5 * g.h
+    tables = [(assemble_table(g, alpha, tol=1e-12), 1e-11), (assemble_table(g, alpha), 1e-9)]
+    cases = [(0.0, (1, 2)), (0.49 * alpha, (1, 2)), (0.98 * alpha, (1,))]
+    refs = {}
+    with mp.workdps(30):
+        for q in {kappa * p for kappa, powers in cases for p in powers}:
+            # the left side of cell i is the right side of its mirror image
+            right = [_mp_ray_moment(mp, e[i], f[i], q, alpha, L, alpha >= 1.0 and i == m - 1)
+                     for i in range(m)]
+            refs[q] = (right, right[::-1])
+    for kappa, powers in cases:
+        for profile in ((1.0, -0.5), (-0.75, 1.25)):
+            func = ConeF(kappa, profile, amp=1.5)
+            for table, bound in tables:
+                moments = table.function_tails(func, need_m2=len(powers) == 2)[1:]
+                for p, got in zip(powers, moments):
+                    (right, left), (cp, cm) = refs[kappa * p], (1.5 * v for v in profile)
+                    ref = [cp**p * r + cm**p * s for r, s in zip(right, left)]
+                    scale = [abs(cp) ** p * r + abs(cm) ** p * s for r, s in zip(right, left)]
+                    err = max(float(abs(x - r) / s) for x, r, s in zip(got, ref, scale))
+                    assert err <= bound, (kappa, profile, p, table.tol, err)
+
+
+def test_homogeneous_profile_moments_warn_at_their_order_cap(monkeypatch):
+    from fracfree import quadrature as q
+    from fracfree.model import ConeF
+
+    monkeypatch.setattr(q, "LINE_ORDER_MAX", 16)
+    table = assemble_table(build_grid(GridSpec(1, 1.0, 16, 64.0, 1.0)), 0.6)
+    with pytest.warns(RuntimeWarning, match="homogeneous-profile moments stopped at order 16"):
+        table.function_tails(ConeF(0.2, (1.0, 0.5)))
+
+
+def test_homogeneous_profile_moments_need_an_integrable_degree():
+    # M1 exists for degree < alpha, M2 for 2 * degree < alpha
+    from fracfree.errors import IncompleteDatumError
+    from fracfree.model import ConeF
+
+    table = assemble_table(build_grid(GridSpec(1, 1.0, 8, 64.0, 1.0)), 0.6)
+    _, m1, m2 = table.function_tails(ConeF(0.4, (1.0, 1.0)), need_m2=False)
+    assert np.all(m1 > 0.0) and m2 is None
+    for degree, need_m2 in ((0.6, False), (0.3, True)):
+        with pytest.raises(IncompleteDatumError):
+            table.function_tails(ConeF(degree, (1.0, 1.0)), need_m2=need_m2)
+
+
+def test_homogeneous_profile_sides_add_up_and_share_the_ray_tails():
+    # a side with g = 0 adds nothing, and T0 is the table's two-ray tails
+    from fracfree.model import ConeF
+
+    g = build_grid(GridSpec(1, 1.0, 16, 64.0, 1.0))
+    for alpha in (0.6, 1.2):
+        table = assemble_table(g, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            right, left, both = (table.function_tails(ConeF(0.2, profile))
+                                 for profile in ((1.0, 0.0), (0.0, -2.0), (1.0, -2.0)))
+        rays = table.region_tails(Region1D(((1.0, math.inf), (-math.inf, -1.0))))
+        for t0, m1, m2 in (right, left, both):
+            assert np.array_equal(t0, rays)
+        np.testing.assert_allclose(right[1] + left[1], both[1], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(right[2] + left[2], both[2], rtol=1e-14, atol=0.0)
+
+
+def test_2d_cells_overlapping_by_roundoff_still_overlap():
+    # the 1D touching snap leaves 2D cells alone
+    h = 0.3 / 1024
+    a = ((0.0, 0.0), (h, h))
+    b = ((h * (1.0 - 2.0**-50), 0.0), (2.0 * h, h))
+    assert b[0][0] < a[1][0]
+    with pytest.raises(GeometryError):
+        cell_pair_weight(a, b, 0.5)
