@@ -9,8 +9,9 @@ carried. The datum beyond the padded box enters as the constant pieces of
 use; only a homogeneous profile in 1D is sampled on stretch blocks
 instead. The padded lattice, its trace and the row evaluator take
 (P, n) points for n = 1 and 2 alike. In 1D every row is a sum of exact
-interval masses. In 2D the rows at lattice nodes are FFT convolutions
-(the midpoint kernel depends only on the index offset) and rows at
+interval masses, differences of the kernel CDF at the cell edges. In 2D
+the rows at lattice nodes are FFT convolutions by ``numpy.fft`` (the
+midpoint kernel depends only on the index offset) and rows at
 off-lattice nodes are one fused contraction of a separable distance table
 with the trace, ones and the half-plane indicators; both share one
 far-field step and are unit-mass.
@@ -23,6 +24,9 @@ half-balls, the radial monotonicity profile (Weiss-type functional), and
 the translation-defect probe for homogeneous pairs. The probe pulls back
 the fields it has built: a moved node is re-evaluated through the field's
 own padded trace and far field, never interpolated.
+
+Importing the module loads NumPy only: the kernel CDF imports SciPy's
+``betainc`` on its first call.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
-from scipy.special import betainc
 
 from .errors import FreeBoundaryError, InvalidSpecError, OutOfRangeError
 from .model import (
@@ -140,11 +142,21 @@ def make_half_grid(grid: Grid, ratio: float = 1.15, z_first: float | None = None
 # Poisson kernel masses
 
 def _std_mass(v, beta: float):
-    """CDF of the standardized order-beta Poisson kernel in one variable."""
+    """CDF of the standardized order-beta Poisson kernel in one variable.
+
+    The mass between 0 and v is I_x(1/2, beta/2) / 2 at x = v^2/(1 + v^2).
+    For |v| >= 1 the tail beyond v is taken instead, I_w(beta/2, 1/2) / 2
+    at w = 1/(1 + v^2): x rounds towards 1 there and loses the tail.
+    """
+    from scipy.special import betainc
+
     v = np.asarray(v, dtype=float)
-    with np.errstate(invalid="ignore"):
-        x = np.where(np.isinf(v), 1.0, v * v / (1.0 + v * v))
-    return 0.5 + 0.5 * np.sign(v) * betainc(0.5, 0.5 * beta, x)
+    near = np.abs(v) < 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        v2 = v * v
+        x = np.where(near, v2 / (1.0 + v2), 1.0 / (1.0 + v2))
+    half = 0.5 * betainc(np.where(near, 0.5, 0.5 * beta), np.where(near, 0.5 * beta, 0.5), x)
+    return np.where(near, 0.5 + np.sign(v) * half, np.where(v > 0.0, 1.0 - half, half))
 
 
 def _interval_masses(x, z: float, lo, hi, beta: float):
@@ -234,7 +246,7 @@ def _make_row_1d(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
 
     def row(pts: np.ndarray, z: float) -> np.ndarray:
         x = pts[:, 0]
-        w_in = _interval_masses(x, float(z), edges[:-1], edges[1:], beta)
+        w_in = np.diff(_std_mass((edges[None, :] - x[:, None]) / float(z), beta), axis=1)
         num = w_in @ trace_vals
         den = w_in.sum(axis=1)
         if p_lo.size:
@@ -369,6 +381,18 @@ def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
     return row
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a size the FFT transforms fast."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 def _extend_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
     """All lattice rows, level by level, as FFT convolutions.
 
@@ -383,12 +407,12 @@ def _extend_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
     h = hg.grid.h
     pts = _lattice_points(hg)
     halfplanes = _lattice_halfplanes(pieces)
-    size = next_fast_len(3 * nx - 2, real=True)
+    size = _fast_len(3 * nx - 2)
     shape = (size, size)
     data = [trace_vals, np.ones((nx, nx))] + [
         _halfplane_indicator(pts, term).reshape(nx, nx) for term in halfplanes
     ]
-    data_hat = rfft2(np.stack(data), s=shape)
+    data_hat = np.fft.rfft2(np.stack(data), s=shape)
     d = h * np.arange(1 - nx, nx)
     d2 = d[:, None] ** 2 + d[None, :] ** 2
     valid = slice(nx - 1, 2 * nx - 1)
@@ -396,8 +420,9 @@ def _extend_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
     out[0] = trace_vals
     for k, z in enumerate(hg.z_array()):
         z = float(z)
-        kern_hat = rfft2(_kernel_weights(d2, z, h, beta), s=shape)
-        sums = [part.ravel() for part in irfft2(kern_hat * data_hat, s=shape)[:, valid, valid]]
+        kern_hat = np.fft.rfft2(_kernel_weights(d2, z, h, beta), s=shape)
+        sums = [part.ravel()
+                for part in np.fft.irfft2(kern_hat * data_hat, s=shape)[:, valid, valid]]
         out[k + 1] = _normalized_rows(
             pts, z, sums, halfplanes, pieces, hg.padded_half_width, beta,
         ).reshape(nx, nx)

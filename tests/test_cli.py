@@ -389,14 +389,41 @@ def test_main_seed_and_outdir_overrides(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # quad is imported where it is used, so importing the package does not
-    # pay for scipy.integrate (and the optimize and linalg modules it pulls in)
+_SCIPY_FREE_RUN = """
+import sys
+from fracfree import cli, energy, model, quadrature, solver  # with cli: every module
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(scipy_modules())
+grid = model.build_grid(model.GridSpec(1, 1.0, 6, 64.0, 1.0))
+datum = model.halfspace_datum([1.0], 0.0)
+tg = quadrature.assemble_table(grid, 0.6)
+tp = quadrature.assemble_table(grid, 0.5)
+params = solver.SolverParams(qp_tolerance=1e-10, multistart_random=2, seed=0)
+solver.brute_force_minimize(grid, datum, tg, tp, params)
+solver.alternate_minimize(model.make_pair(*model.sample_datum(datum, grid)),
+                          params, tg, tp)
+print(scipy_modules())
+grid = model.build_grid(model.GridSpec(2, 1.0, 2, 64.0, 1.0))
+datum = model.halfspace_datum([1.0, 0.0], 0.0)
+table = quadrature.assemble_table(grid, 0.5)
+u, phases = model.sample_datum(datum, grid)
+energy.total_energy(model.make_pair(u, phases), model.FractionalParams(0.25, 0.5),
+                    table, table)
+print(scipy_modules())
+"""
+
+
+def test_package_runs_without_loading_scipy():
+    # SciPy is imported only where it is used (the Poisson-kernel CDF and
+    # energy-bound's quad), so neither the import nor a 1D oracle nor a 2D
+    # energy loads any part of it
     import fracfree
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracfree.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, fracfree; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]"] * 3

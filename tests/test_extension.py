@@ -322,6 +322,35 @@ def test_lattice_convolution_matches_direct_rows(set_spec, levels):
     assert np.max(np.abs(fft_vals[1:] - direct)) < 1e-13
 
 
+def test_fast_len_is_the_next_five_smooth_size():
+    from scipy.fft import next_fast_len
+
+    from fracfree.extension import _fast_len
+
+    assert [_fast_len(n) for n in range(1, 4097)] == [
+        next_fast_len(n, real=True) for n in range(1, 4097)]
+
+
+def test_std_mass_matches_closed_forms():
+    # the one-variable kernel (1 + v^2)^(-(1+beta)/2) is the Student-t
+    # density of df = beta at sqrt(beta) v; at beta = 1 it is Cauchy. v
+    # reaches 1e8, as far as the stretch blocks of a cone datum do, where
+    # the tails are still 1e-3 (beta = 0.3) to 3e-9 (beta = 1)
+    from scipy.stats import t as student_t
+
+    from fracfree.extension import _std_mass
+
+    v = np.concatenate([-np.logspace(-3, 8, 45)[::-1], np.logspace(-3, 8, 45)])
+    assert np.max(np.abs(_std_mass(v, 1.0) - (0.5 + np.arctan(v) / math.pi))) < 1e-14
+    for beta in (0.3, 0.6, 1.5):
+        ref = student_t.cdf(math.sqrt(beta) * v, df=beta)
+        got = _std_mass(v, beta)
+        assert np.max(np.abs(got - ref)) < 1e-14
+        assert np.max(np.abs(got[v < 0] / ref[v < 0] - 1.0)) < 1e-13   # the tails
+    for beta in (0.3, 1.0, 1.5):
+        assert _std_mass(np.array([0.0, np.inf, -np.inf]), beta).tolist() == [0.5, 1.0, 0.0]
+
+
 def _ball_far_masses_by_quad(p, lp, center, radius, cdf):
     """(mass outside the ball, mass inside the ball) beyond the box
     [-lp, lp]^2 seen from p: scipy quad in the direction on every arc
