@@ -12,9 +12,9 @@ instead. The padded lattice, its trace and the row evaluator take
 interval masses, differences of the kernel CDF at the cell edges. In 2D
 the rows at lattice nodes are FFT convolutions by ``numpy.fft`` (the
 midpoint kernel depends only on the index offset) and rows at
-off-lattice nodes are one fused contraction of a separable distance table
-with the trace, ones and the half-plane indicators; both share one
-far-field step and are unit-mass.
+off-lattice nodes, each at its own height, are one fused contraction of a
+separable distance table with the trace, ones and the half-plane
+indicators; both share one far-field step and are unit-mass.
 That step is exact when every term of the pieces is the whole plane or a
 half-plane; otherwise each term's mass beyond the padded box comes from
 the split-arc point rule of ``quadrature`` (exact radial mass per ray,
@@ -159,12 +159,12 @@ def _std_mass(v, beta: float):
     return np.where(near, 0.5 + np.sign(v) * half, np.where(v > 0.0, 1.0 - half, half))
 
 
-def _interval_masses(x, z: float, lo, hi, beta: float):
-    """Kernel mass of intervals [lo, hi] seen from points x at height z."""
+def _interval_masses(x, z, lo, hi, beta: float):
+    """Kernel mass of intervals [lo, hi] seen from points x at heights z."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    vlo = (lo[None, :] - x[:, None]) / z
-    vhi = (hi[None, :] - x[:, None]) / z
+    vlo = (lo[None, :] - x[:, None]) / z[:, None]
+    vhi = (hi[None, :] - x[:, None]) / z[:, None]
     return _std_mass(vhi, beta) - _std_mass(vlo, beta)
 
 
@@ -234,8 +234,29 @@ def _stretch_blocks(lp: float, z_top: float) -> np.ndarray:
     return lp * STRETCH_RATIO ** np.arange(count)
 
 
+_ROW_CHUNK = 2**17         # entries of a row evaluator's (points x sources) block
+
+
+def _chunked(width: int, fill):
+    """row(pts, z) calling fill on blocks of points, so that no temporary
+    of a row evaluator exceeds about _ROW_CHUNK * width entries; z is one
+    height per point, or one for all."""
+    step = max(1, _ROW_CHUNK // width)
+
+    def row(pts: np.ndarray, z) -> np.ndarray:
+        z = np.broadcast_to(np.asarray(z, dtype=float), pts.shape[:1])
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], step):
+            sl = slice(start, start + step)
+            out[sl] = fill(pts[sl], z[sl])
+        return out
+
+    return row
+
+
 def _make_row_1d(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
-    """Evaluator: row(points, z) of the 1D extension at any (P, 1) points."""
+    """Evaluator: row(points, z) of the 1D extension at any (P, 1) points,
+    each at its own height."""
     axis = hg.padded_axis
     h = hg.grid.h
     edges = np.concatenate([axis - 0.5 * h, [axis[-1] + 0.5 * h]])
@@ -244,18 +265,18 @@ def _make_row_1d(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
     p_hi = np.array([p[1] for p in pieces])
     p_val = np.array([p[2] for p in pieces])
 
-    def row(pts: np.ndarray, z: float) -> np.ndarray:
+    def fill(pts, z):
         x = pts[:, 0]
-        w_in = np.diff(_std_mass((edges[None, :] - x[:, None]) / float(z), beta), axis=1)
+        w_in = np.diff(_std_mass((edges[None, :] - x[:, None]) / z[:, None], beta), axis=1)
         num = w_in @ trace_vals
         den = w_in.sum(axis=1)
         if p_lo.size:
-            w_far = _interval_masses(x, float(z), p_lo, p_hi, beta)
+            w_far = _interval_masses(x, z, p_lo, p_hi, beta)
             num = num + w_far @ p_val
             den = den + w_far.sum(axis=1)
         return num / den
 
-    return row
+    return _chunked(edges.size + p_lo.size, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -284,26 +305,30 @@ def _halfplane_indicator(pts, term):
     return (pts @ np.asarray(term.normal, dtype=float) - term.offset > 0.0).astype(float)
 
 
-def _point_far_masses(pts, z: float, pieces, lp: float, beta: float):
+def _point_far_masses(pts, z, pieces, lp: float, beta: float):
     """Mass of every piece's region beyond the padded box, seen from each
-    point, by the point rule with the exact radial kernel integral; each
-    term is integrated once."""
+    point at its height (z is one per point, or one for all), by the point
+    rule with the exact radial kernel integral; each term is integrated
+    once per point."""
 
-    def cdf(t):
-        return z**beta * (t * t + z * z) ** (-0.5 * beta) / (2.0 * math.pi)
+    def cdf_at(zp):
+        return lambda t: zp**beta * (t * t + zp * zp) ** (-0.5 * beta) / (2.0 * math.pi)
 
     one = np.ones(1)
+    cdfs = [cdf_at(float(zp)) for zp in np.broadcast_to(z, pts.shape[:1])]
     masses = {
         term: np.array([
-            _point_term_mass(p[None, :], one, lp, term, cdf, FAR_MASS_TOL) for p in pts
+            _point_term_mass(p[None, :], one, lp, term, cdf, FAR_MASS_TOL)
+            for p, cdf in zip(pts, cdfs)
         ])
         for term in _pieces_terms(pieces)
     }
     return [_region_sum(region, masses) for _, region in pieces]
 
 
-def _normalized_rows(pts, z: float, sums, halfplanes, pieces, lp: float, beta: float):
-    """Add the far field to in-lattice row sums and normalize to unit mass.
+def _normalized_rows(pts, z, sums, halfplanes, pieces, lp: float, beta: float):
+    """Add the far field to in-lattice row sums and normalize to unit mass;
+    z is each point's height, or one for all.
 
     sums are the in-lattice kernel sums against the trace, against ones
     and against the indicator of each of halfplanes. When those cover
@@ -345,15 +370,17 @@ def _lattice_points(hg: HalfGrid) -> np.ndarray:
 
 
 def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
-    """Evaluator: row(points, z) of the 2D extension at arbitrary points.
+    """Evaluator: row(points, z) of the 2D extension at arbitrary points,
+    each at its own height.
 
     Midpoint sums over the lattice plus the far field of _normalized_rows.
     Used for off-lattice nodes; lattice nodes go through the FFT
     convolution of _extend_2d. The sources are the padded lattice, so a
     node's squared distances are an outer sum of per-axis terms, raised to
     the kernel power in place and contracted once against the trace, ones
-    and every half-plane indicator; the constant c2 z^beta h^2 scales the
-    sums, not the kernel entries.
+    and every half-plane indicator; the constant c2 z^beta h^2 scales each
+    node's sums, not the kernel entries. Nodes go in blocks of about
+    _ROW_CHUNK distance entries.
     """
     lp = hg.padded_half_width
     h = hg.grid.h
@@ -363,22 +390,17 @@ def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
     src = _lattice_points(hg)
     rhs = np.stack([trace_vals.ravel(), np.ones(nx * nx)]
                    + [_halfplane_indicator(src, term) for term in halfplanes], axis=1)
-    chunk = max(1, 2**23 // (nx * nx))
 
-    def row(pts: np.ndarray, z: float) -> np.ndarray:
-        z = float(z)
-        sums = np.empty((pts.shape[0], rhs.shape[1]))
-        for start in range(0, pts.shape[0], chunk):
-            sl = slice(start, start + chunk)
-            dx2 = (pts[sl, 0, None] - axis) ** 2 + z * z
-            dy2 = (pts[sl, 1, None] - axis) ** 2
-            d2 = (dx2[:, :, None] + dy2[:, None, :]).reshape(-1, nx * nx)
-            np.power(d2, -0.5 * (2.0 + beta), out=d2)
-            np.matmul(d2, rhs, out=sums[sl])
-        sums *= beta / (2.0 * math.pi) * z**beta * h * h
+    def fill(pts, z):
+        dx2 = (pts[:, 0, None] - axis) ** 2 + (z * z)[:, None]
+        dy2 = (pts[:, 1, None] - axis) ** 2
+        d2 = (dx2[:, :, None] + dy2[:, None, :]).reshape(-1, nx * nx)
+        np.power(d2, -0.5 * (2.0 + beta), out=d2)
+        sums = d2 @ rhs
+        sums *= (beta / (2.0 * math.pi) * z**beta * h * h)[:, None]
         return _normalized_rows(pts, z, list(sums.T), halfplanes, pieces, lp, beta)
 
-    return row
+    return _chunked(nx * nx, fill)
 
 
 def _fast_len(n: int) -> int:
@@ -400,14 +422,15 @@ def _extend_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
     so each level's in-lattice sums are one block-Toeplitz product: the
     kernel on the (2nx-1)^2 offset grid convolved with the trace, with
     ones and with the indicator of every half-plane the far step reads.
-    The transform size covers the full linear convolution, so nothing
-    wraps around.
+    Only the valid block [nx-1, 2nx-1) of the product is read, and a
+    circular transform of length at least 2nx-1, the kernel's, leaves
+    that block unaliased: the wrapped terms land below nx-1.
     """
     nx = hg.padded_axis.size
     h = hg.grid.h
     pts = _lattice_points(hg)
     halfplanes = _lattice_halfplanes(pieces)
-    size = _fast_len(3 * nx - 2)
+    size = _fast_len(2 * nx - 1)
     shape = (size, size)
     data = [trace_vals, np.ones((nx, nx))] + [
         _halfplane_indicator(pts, term).reshape(nx, nx) for term in halfplanes
@@ -441,7 +464,8 @@ def _extend(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
 
 
 def _make_row(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
-    """Evaluator: row(points, z) of the extension at any (P, n) points."""
+    """Evaluator: row(points, z) of the extension at any (P, n) points,
+    at one height per point or one for all."""
     if hg.grid.dimension == 1:
         return _make_row_1d(hg, trace_vals, func_spec, beta)
     pieces = datum_far_pieces(func_spec, hg.padded_half_width, 2)
@@ -508,37 +532,41 @@ def annulus_fractions(hg: HalfGrid, r_lo: float, r_hi: float) -> np.ndarray:
     """Fraction of each node box inside the annulus r_lo <= |X| < r_hi.
 
     Node boxes are x-cell times z-bin. Boxes crossing a boundary are
-    subsampled on a fixed lattice; the smooth weighting removes the
-    staircase error of a sharp node-center test, which otherwise scales
-    with the local z spacing and never refines.
+    subsampled on a fixed lattice of s^(n+1) points; the smooth weighting
+    removes the staircase error of a sharp node-center test, which
+    otherwise scales with the local z spacing and never refines. Every
+    squared radius, of a box corner or a sub-sample, is the broadcast sum
+    (z^2 + x^2) + y^2 of per-axis squares, so no point array is built.
     """
+
+    def radii(parts, lead):
+        """sqrt of the sum of per-axis squares, added in axis order, each
+        part broadcast along its own axis after its lead shared axes."""
+        total = 0.0
+        for k, part in enumerate(parts):
+            shape = part.shape[:lead] + (1,) * k + part.shape[lead:] \
+                + (1,) * (len(parts) - 1 - k)
+            total = total + part.reshape(shape)
+        return np.sqrt(total)
+
     ax = hg.padded_axis
     h = hg.grid.h
     z = hg.z_array()
     edges = np.concatenate([[0.0], 0.5 * (z[:-1] + z[1:]), [z[-1]]])
-    z_ctr = 0.5 * (edges[:-1] + edges[1:])
-    z_half = 0.5 * (edges[1:] - edges[:-1])
-    ctr = np.stack(np.meshgrid(z_ctr, *[ax] * hg.grid.dimension, indexing="ij"), axis=-1)
-    half = np.full_like(ctr, 0.5 * h)
-    half[..., 0] = z_half.reshape((-1,) + (1,) * hg.grid.dimension)
-    inner = np.maximum(np.abs(ctr) - half, 0.0)
-    outer = np.abs(ctr) + half
-    dmin = np.sqrt((inner**2).sum(axis=-1))
-    dmax = np.sqrt((outer**2).sum(axis=-1))
-    frac = np.zeros(ctr.shape[:-1])
+    ctrs = [0.5 * (edges[:-1] + edges[1:])] + [ax] * hg.grid.dimension
+    halves = [0.5 * (edges[1:] - edges[:-1])] + [np.full(ax.size, 0.5 * h)] * hg.grid.dimension
+    dmin = radii([np.maximum(np.abs(c) - hw, 0.0) ** 2 for c, hw in zip(ctrs, halves)], 0)
+    dmax = radii([(np.abs(c) + hw) ** 2 for c, hw in zip(ctrs, halves)], 0)
+    frac = np.zeros(dmin.shape)
     frac[(dmin >= r_lo) & (dmax < r_hi)] = 1.0
     partial = ~((dmax < r_lo) | (dmin >= r_hi) | (frac == 1.0))
     if partial.any():
         s = _FRACTION_SUBSAMPLES
         offs = (np.arange(s) + 0.5) / s - 0.5
-        pc = ctr[partial]
-        ph = half[partial]
-        dims = pc.shape[-1]
-        grids = np.meshgrid(*([offs] * dims), indexing="ij")
-        sub = np.stack([g.ravel() for g in grids], axis=-1)  # (s^dims, dims)
-        pts = pc[:, None, :] + 2.0 * ph[:, None, :] * sub[None, :, :]
-        rr = np.sqrt((pts**2).sum(axis=-1))
-        frac[partial] = ((rr >= r_lo) & (rr < r_hi)).mean(axis=1)
+        idx = np.nonzero(partial)
+        rr = radii([(c[i, None] + 2.0 * hw[i, None] * offs) ** 2
+                    for c, hw, i in zip(ctrs, halves, idx)], 1)
+        frac[idx] = ((rr >= r_lo) & (rr < r_hi)).mean(axis=tuple(range(1, rr.ndim)))
     return frac
 
 
@@ -678,14 +706,14 @@ def _pullback(field: ExtendedField, func_spec, beta: float):
 
     def pulled(direction: float, r_cut: float) -> ExtendedField:
         out = field.values.reshape(z_all.size, -1).copy()
-        for k, z in enumerate(z_all):
-            disp = direction * _cutoff(np.sqrt(src2 + z * z) / r_cut)
-            moved = disp != 0.0
-            if not moved.any():
-                continue
-            pts = src[moved]
-            pts[:, 0] += disp[moved]
-            out[k, moved] = trace_at(pts) if k == 0 else row(pts, float(z))
+        disp = direction * _cutoff(np.sqrt(src2 + (z_all * z_all)[:, None]) / r_cut)
+        level, node = np.nonzero(disp)
+        pts = src[node]
+        pts[:, 0] += disp[level, node]
+        on_trace = level == 0
+        out[0, node[on_trace]] = trace_at(pts[on_trace])
+        above = ~on_trace
+        out[level[above], node[above]] = row(pts[above], z_all[level[above]])
         return ExtendedField(hg, out.reshape(field.values.shape), field.weight_exponent)
 
     return pulled

@@ -403,7 +403,7 @@ class PhaseSet:
             raise InvalidSpecError(
                 f"indicator shape {ind.shape} does not match grid ({grid.n_cells},)"
             )
-        if not np.isin(ind, (-1, 1)).all():
+        if not (np.abs(ind) == 1).all():
             raise InvalidSpecError("phase indicator entries must be exactly +1 or -1")
         ind = ind.astype(np.int8).copy()
         outside = ~grid.in_omega

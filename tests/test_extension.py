@@ -103,6 +103,48 @@ def test_half_disk_area_oracle():
     assert area == pytest.approx(math.pi / 2.0, rel=5e-3)
 
 
+def _annulus_fractions_by_box(hg, r_lo, r_hi):
+    """annulus_fractions box by box: (z, x[, y]) centre and half-width
+    vectors per node box, corner distances from explicit point vectors, and
+    the s^(n+1) sub-sample points of each partial box written out."""
+    s = 4
+    ax, h, z = hg.padded_axis, hg.grid.h, hg.z_array()
+    edges = np.concatenate([[0.0], 0.5 * (z[:-1] + z[1:]), [z[-1]]])
+    offs = (np.arange(s) + 0.5) / s - 0.5
+    n = hg.grid.dimension
+    out = np.zeros((z.size,) + (ax.size,) * n)
+    for index in np.ndindex(out.shape):
+        k = index[0]
+        ctr = np.array([0.5 * (edges[k] + edges[k + 1])] + [ax[i] for i in index[1:]])
+        half = np.array([0.5 * (edges[k + 1] - edges[k])] + [0.5 * h] * n)
+        dmin = np.sqrt((np.maximum(np.abs(ctr) - half, 0.0) ** 2).sum())
+        dmax = np.sqrt(((np.abs(ctr) + half) ** 2).sum())
+        if dmin >= r_lo and dmax < r_hi:
+            out[index] = 1.0
+        elif not (dmax < r_lo or dmin >= r_hi):
+            sub = np.array([[ctr[a] + 2.0 * half[a] * offs[j] for a, j in enumerate(js)]
+                            for js in np.ndindex((s,) * (n + 1))])
+            rr = np.sqrt((sub**2).sum(axis=1))
+            out[index] = ((rr >= r_lo) & (rr < r_hi)).mean()
+    return out
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_annulus_fractions_match_a_box_by_box_reference_bit_for_bit(dimension):
+    from fracfree.extension import annulus_fractions
+
+    if dimension == 1:
+        g = build_grid(GridSpec(1, 3.0, 24, 128.0, 2.5))
+    else:
+        g = build_grid(GridSpec(2, 3.0, 10, 128.0, 2.5))
+    hg = make_half_grid(g, ratio=1.3, z_first=0.5 * g.h, levels=9, pad_cells=2)
+    for r_lo, r_hi in ((0.0, 1.0), (0.0, 2.3), (0.7, 1.9), (1.55, 1.95)):
+        got = annulus_fractions(hg, r_lo, r_hi)
+        ref = _annulus_fractions_by_box(hg, r_lo, r_hi)
+        assert np.array_equal(got, ref), (r_lo, r_hi)
+        assert 0.0 < got.sum() and np.any((got > 0.0) & (got < 1.0))
+
+
 @pytest.mark.parametrize("pad_cells", [-2, 1.5])
 def test_half_grid_refuses_bad_padding(setup_1d, pad_cells):
     g, hg = setup_1d
@@ -260,6 +302,77 @@ def test_pullback_is_identity_outside_cutoff(dimension):
         moved = _pullback(f, func, beta)(+1.0, r_cut).values
         assert np.array_equal(moved[outside], f.values[outside])
         assert not np.array_equal(moved, f.values)
+
+
+def _halfplane_pair_2d():
+    g = build_grid(GridSpec(2, 2.0, 6, 128.0, 1.5))
+    hg = make_half_grid(g, ratio=1.6, z_first=0.25, levels=5, pad_cells=2)
+    return make_pair(*sample_datum(halfspace_datum([1.0, 0.5], 0.2), g)), hg
+
+
+@pytest.mark.parametrize("dimension, data", [
+    (1, "halfspace"), (1, "ball"), (2, "halfspace"), (2, "ball"),
+])
+def test_pulled_fields_match_per_level_row_calls(dimension, data):
+    # one batched row call for every moved node of every level equals the
+    # extension row called level by level on that level's moved nodes
+    from fracfree.extension import _cutoff, _lattice_points, _make_row, _pullback
+
+    params = FractionalParams(0.625, 0.25)
+    if dimension == 1:
+        g = build_grid(GridSpec(1, 6.0, 64, 384.0, 1.0))
+        datum = halfspace_datum([1.0], 0.3) if data == "halfspace" else ball_datum((0.4,), 2.0)
+        pair = make_pair(*sample_datum(datum, g))
+        hg = make_half_grid(g, ratio=1.3, top=4.5, pad_cells=8)
+        r_cut = 4.0
+    else:
+        pair, hg = _halfplane_pair_2d() if data == "halfspace" else _ball_pair_2d()
+        r_cut = 2.5
+    src = _lattice_points(hg)
+    for f, func, beta in [
+        (extend_scalar(pair.u, hg, params.s), pair.u.datum.func, 2.0 * params.s),
+        (extend_set(pair.phases, hg, params.sigma), IndicatorF(pair.phases.datum.set_spec),
+         params.sigma),
+    ]:
+        row = _make_row(hg, f.trace, func, beta)
+        for direction in (+1.0, -1.0):
+            got = _pullback(f, func, beta)(direction, r_cut).values.reshape(len(hg.levels) + 1, -1)
+            moved_any = False
+            for k, z in enumerate(hg.z_array(), start=1):
+                disp = direction * _cutoff(np.sqrt((src**2).sum(axis=1) + z * z) / r_cut)
+                moved = disp != 0.0
+                pts = src[moved]
+                pts[:, 0] += disp[moved]
+                ref = f.values.reshape(got.shape)[k].copy()
+                ref[moved] = row(pts, np.full(pts.shape[0], z))
+                assert np.max(np.abs(got[k] - ref)) <= 1e-14
+                moved_any |= bool(moved.any())
+            assert moved_any
+
+
+def test_pulled_field_memory_stays_bounded():
+    # a 64 x 64 padded lattice with about 1.1e4 moved nodes over 12 levels:
+    # the batched 2D row works in blocks of about 2^17 distance entries, so
+    # no (nodes x 4096) table is ever built
+    import tracemalloc
+
+    from fracfree.extension import _pullback
+
+    params = FractionalParams(0.625, 0.25)
+    g = build_grid(GridSpec(2, 8.0, 60, 512.0, 7.5))
+    pair = make_pair(*sample_datum(halfspace_datum([1.0, 0.0], 0.0), g))
+    hg = make_half_grid(g, ratio=1.3, z_first=0.5 * g.h, levels=12, pad_cells=2)
+    assert hg.padded_axis.size == 64
+    field = extend_set(pair.phases, hg, params.sigma)
+    pulled = _pullback(field, IndicatorF(pair.phases.datum.set_spec), params.sigma)
+    tracemalloc.start()
+    try:
+        moved = pulled(+1.0, 6.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(moved.values[1:] != field.values[1:]) > 10_000
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("dimension", [1, 2])

@@ -172,6 +172,17 @@ def test_phase_set_rejects_bad_indicator():
         PhaseSet(g, np.zeros(g.n_cells), datum)
 
 
+@pytest.mark.parametrize("bad", [0.0, 2.0, 0.5, math.nan])
+def test_phase_set_refuses_one_entry_other_than_plus_or_minus_one(bad):
+    g = grid_1d()
+    datum = halfspace_datum([1.0], 0.0)
+    ind = np.where(g.centers[:, 0] > 0.0, 1.0, -1.0)
+    PhaseSet(g, ind, datum)
+    ind[3] = bad
+    with pytest.raises(InvalidSpecError, match="exactly"):
+        PhaseSet(g, ind, datum)
+
+
 def test_sign_compatibility_checkable_by_sampling():
     from fracfree.model import ConstantF, ExteriorDatum, HalfspaceSet
 

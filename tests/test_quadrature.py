@@ -944,3 +944,43 @@ def test_2d_cells_overlapping_by_roundoff_still_overlap():
     assert b[0][0] < a[1][0]
     with pytest.raises(GeometryError):
         cell_pair_weight(a, b, 0.5)
+
+
+def _mp_near_pair_weight(mp, gap, alpha):
+    """Weight of the unit cells [0,1]^2 and [1+gap, 2+gap] x [0,1] at the
+    working precision: the tent reduction with the w2 integral in closed
+    form, int_0^1 (1 - w2)(w1^2 + w2^2)^q dw2 with q = -(2+alpha)/2, and
+    tanh-sinh in w1 on panels doubling away from the near corner."""
+    g, q = mp.mpf(gap), -(2 + mp.mpf(alpha)) / 2
+    d = 1 + g
+
+    def inner(w1):
+        return (w1 ** (2 * q) * mp.hyp2f1(-q, 0.5, 1.5, -1 / (w1 * w1))
+                - ((w1 * w1 + 1) ** (q + 1) - w1 ** (2 * q + 2)) / (2 * (q + 1)))
+
+    panels = [g * 2**k for k in range(60) if g * 2**k < d] + [d, d + 1]
+    return 2 * mp.quad(lambda w1: (1 - abs(w1 - d)) * inner(w1), panels)
+
+
+@pytest.mark.parametrize("gap, alpha", [("1e-3", 0.5), ("1e-6", 0.5), ("1e-3", 1.2)])
+def test_near_separated_2d_pairs_match_30_digits(gap, alpha):
+    # tensor Gauss stalls this near the kernel singularity (at gap 1e-3,
+    # alpha 0.5 its order-32 value 3.3680820 is 0.4% off); the weight must
+    # meet tol, and a warning (an error under tier-1) would fail the test
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = _mp_near_pair_weight(mp, gap, alpha)
+    g = float(gap)
+    for tol in (1e-9, 1e-11):
+        got = cell_pair_weight(((0.0, 0.0), (1.0, 1.0)), ((1.0 + g, 0.0), (2.0 + g, 1.0)),
+                               alpha, tol=tol)
+        assert isinstance(got, float)
+        assert abs(got / float(ref) - 1.0) <= 10.0 * tol
+
+
+def test_near_separated_2d_pair_warns_when_it_cannot_meet_tol():
+    # a gap of 1e-12 cell widths at alpha 1.8: the weight is about 3e9 and
+    # the polar rule's doublings keep moving it by about 1e-6
+    with pytest.warns(RuntimeWarning, match="2D pair weight stopped at order 768"):
+        cell_pair_weight(((0.0, 0.0), (1.0, 1.0)), ((1.0 + 1e-12, 0.3), (2.0 + 1e-12, 1.3)),
+                         1.8)
