@@ -2,8 +2,8 @@
 
 The function solve is a sign-constrained convex quadratic program on
 energy.GagliardoForm (strictly positive definite thanks to the exterior
-tails); the phase solve, on energy.PerimeterForm, flips cells of the
-discrete zero set while the perimeter strictly decreases. Trace entries
+tails); the phase solve, on energy.PerimeterForm, sets the discrete zero
+set to an exact perimeter minimizer by one minimum s-t cut. Trace entries
 take every term and tail from those two forms. Alternating the two from
 several starts gives the local solver; exhaustive enumeration of all
 phase patterns on tiny grids gives the global oracle it is calibrated
@@ -38,7 +38,6 @@ class SolverParams:
     max_outer_iters: int = 30
     qp_tolerance: float = 1e-9
     zero_threshold: float | None = None     # default 1e-7 * value scale
-    exhaustive_cap: int = 12
     multistart_random: int = 5
     energy_stall_tolerance: float = 1e-10
     seed: int = 0
@@ -264,50 +263,54 @@ def _zero_threshold(params: SolverParams, u_vals: np.ndarray) -> float:
     return 1e-7 * max(1.0, scale)
 
 
-def _greedy_flips(form: PerimeterForm, e_in: np.ndarray,
-                  zero_set: np.ndarray) -> list:
-    """Flip, in place, the zero-set cell of steepest perimeter descent
-    until no flip decreases it by more than the 1e-13 relative tie
-    threshold; returns the flipped cells in order.
-
-    All flip deltas -2 e_k lin_k + e_k (W e)_k come from one matvec, kept
-    current by a rank-1 update after each flip.
-    """
-    e = e_in.astype(float)
-    w_e = form.w_in @ e
-    flips = []
-    while True:
-        e_z = e[zero_set]
-        deltas = -2.0 * e_z * form.lin[zero_set] + e_z * w_e[zero_set]
-        k_best = int(np.argmin(deltas))
-        value = form.const + float(form.lin @ e) - 0.25 * float(e @ w_e)
-        if deltas[k_best] >= -1e-13 * max(1.0, abs(value)):
-            return flips
-        k = int(zero_set[k_best])
-        w_e -= 2.0 * e[k] * form.w_in[:, k]
-        e[k] = -e[k]
-        e_in[k] = -e_in[k]
-        flips.append(k)
-
-
-# most floats per stacked PerimeterForm.value call in the exhaustive phase
-# update: 2^12 candidates on a 2D ball of thousands of cells would
-# otherwise stack hundreds of MiB
-_VALUE_ROWS_ELEMENTS = 1 << 20
-
-
 def _bit_table(n: int) -> np.ndarray:
     """(2^n, n) booleans, row i holding the bits of i (column j: bit j)."""
     return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
 
 
+def _min_cut(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The x in {0,1}^z minimizing c . x + sum_{k<l} w_kl [x_k != x_l]
+    (w symmetric, >= 0): the sink side of a minimum cut with s -> k of
+    capacity max(c_k, 0), k -> t of max(-c_k, 0) and k <-> l of w_kl.
+    Edmonds-Karp on the dense residual, each breadth-first pass augmenting
+    every shortest path of its tree; residuals up to 1e-14 of the largest
+    capacity count as saturated, so roundoff opens no path."""
+    z = len(c)
+    s, t = z, z + 1
+    res = [row + [0.0, max(-ck, 0.0)] for row, ck in zip(w.tolist(), c.tolist())]
+    res += [[max(ck, 0.0) for ck in c.tolist()] + [0.0, 0.0], [0.0] * (z + 2)]
+    eps = 1e-14 * max(map(max, res))
+    while True:
+        parent, level = [-1] * z + [s, -1], [s]     # s is its own parent
+        while level and parent[t] < 0:
+            last, level = level, []
+            for a in last:
+                for b, r in enumerate(res[a]):
+                    if r > eps and parent[b] < 0:
+                        parent[b] = a
+                        level.append(b)
+        if parent[t] < 0:
+            return np.array(parent[:z]) < 0
+        for v in last:
+            path = [t, v]
+            while path[-1] != s:
+                path.append(parent[path[-1]])
+            flow = min(res[a][b] for a, b in zip(path[1:], path))
+            if flow > eps:
+                for a, b in zip(path[1:], path):
+                    res[a][b] -= flow
+                    res[b][a] += flow
+
+
 def update_phase(u: DiscreteFunction, phases: PhaseSet, table: KernelTable,
                  params: SolverParams,
                  form: PerimeterForm | None = None) -> PhaseSet:
-    """Force signs where |u| clears the threshold; on the zero set flip
-    cells while the perimeter strictly decreases (exhaustively when the
-    zero set has at most exhaustive_cap cells, else greedily). Ties keep the
-    incumbent phase."""
+    """Force signs where |u| clears the threshold, then give the zero set Z
+    its least-perimeter signs: with the other signs fixed and e = 2x - 1,
+    Per is sum_k 2 a_k x_k + sum_{k<l in Z} W_kl [x_k != x_l] plus a constant,
+    a = lin_Z - W_in[Z, rest] e_rest / 2, and one _min_cut minimizes it. The
+    cut's signs replace the incumbent's only when lower by more than 1e-15
+    relative: ties keep the incumbent phase."""
     grid = u.grid
     inside = grid.in_omega
     form = PerimeterForm(phases, table) if form is None else form
@@ -316,21 +319,16 @@ def update_phase(u: DiscreteFunction, phases: PhaseSet, table: KernelTable,
     uu = u.values[inside]
     e_in[uu > delta] = 1
     e_in[uu < -delta] = -1
-    zero_set = np.flatnonzero(np.abs(uu) <= delta)
-    if 0 < zero_set.size <= params.exhaustive_cap:
-        flipped = _bit_table(zero_set.size)
-        cands = np.repeat(e_in[None], flipped.shape[0], axis=0)
-        cands[:, zero_set] = np.where(flipped, -e_in[zero_set], e_in[zero_set])
-        step = max(1, _VALUE_ROWS_ELEMENTS // e_in.size)
-        values = np.concatenate([form.value(cands[lo:lo + step])
-                                 for lo in range(0, len(cands), step)]).tolist()
-        best_i, best = 0, values[0]
-        for i, val in enumerate(values):
-            if val < best - 1e-15 * max(1.0, abs(best)):
-                best_i, best = i, val
-        e_in = cands[best_i]
-    elif zero_set.size:
-        _greedy_flips(form, e_in, zero_set)
+    zero = np.abs(uu) <= delta
+    zero_set = np.flatnonzero(zero)
+    if zero_set.size:
+        w_z = form.w_in[zero_set]
+        c = 2.0 * form.lin[zero_set] - w_z @ np.where(zero, 0, e_in)
+        cut = e_in.copy()
+        cut[zero_set] = np.where(_min_cut(w_z[:, zero_set], c), 1, -1)
+        old, new = form.value(np.stack([e_in, cut])).tolist()
+        if new < old - 1e-15 * max(1.0, abs(old)):
+            e_in = cut
     ind = phases.indicator.copy()
     ind[inside] = e_in
     return phases.with_indicator(ind)

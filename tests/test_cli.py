@@ -76,6 +76,14 @@ def test_validate_rejects_unknown_keys(tmp_path):
     bad2["frobs"] = 1
     with pytest.raises(ConfigError, match="top level: frobs"):
         validate_config(bad2)
+    # the phase step has no size switch left to set
+    bad3 = minimal_config(tmp_path)
+    bad3["solver"] = {"exhaustive_cap": 12}
+    with pytest.raises(ConfigError, match="solver: .*exhaustive_cap"):
+        validate_config(bad3)
+    bad3_path = tmp_path / "bad3.json"
+    bad3_path.write_text(json.dumps(bad3))
+    assert main(["energy", "--config", str(bad3_path)]) == 2
 
 
 def test_run_writes_manifest_and_echo(tmp_path):

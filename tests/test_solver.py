@@ -22,7 +22,7 @@ from fracfree.solver import (
     GagliardoQP,
     SolverParams,
     _bit_table,
-    _greedy_flips,
+    _min_cut,
     alternate_minimize,
     brute_force_minimize,
     solve_u_given_phase,
@@ -131,8 +131,8 @@ def test_update_phase_perimeter_never_increases():
 
 
 def test_update_phase_exhaustive_finds_minimal_pattern():
-    # u = 0 everywhere: the whole ball is zero set; exhaustive enumeration
-    # must return the global perimeter minimizer among phase patterns
+    # u = 0 everywhere: the whole ball is zero set; the phase step must
+    # return the global perimeter minimizer among phase patterns
     g, tg, tp = small_setup(m=8)
     datum = halfspace_datum([1.0], 0.0)
     _, phases = sample_datum(datum, g)
@@ -376,18 +376,20 @@ def test_oracle_rows_are_sign_feasible_and_kkt_accurate(m, s, sigma, low, data_s
     assert np.array_equal(worst, kkt)
 
 
-@pytest.mark.parametrize("stack_elements", [None, 50])
-def test_exhaustive_phase_update_matches_the_per_candidate_loop(stack_elements,
-                                                                monkeypatch):
-    from fracfree import solver as solver_mod
+def _enumeration_minimum(form, e_in, zero_set):
+    """min of form.value over all 2^|Z| sign patterns on the zero set."""
+    cands = np.repeat(e_in[None], 1 << zero_set.size, axis=0)
+    cands[:, zero_set] = np.where(_bit_table(zero_set.size), 1, -1)
+    return float(form.value(cands).min())
 
-    if stack_elements is not None:      # 3 candidates per stacked value call
-        monkeypatch.setattr(solver_mod, "_VALUE_ROWS_ELEMENTS", stack_elements)
+
+def test_phase_update_reaches_the_enumeration_minimum_and_keeps_ties():
     g, tg, tp = small_setup(m=14)
     datum = halfspace_datum([1.0], 0.0)
     _, phases = sample_datum(datum, g)
     inside = g.in_omega
     rng = np.random.RandomState(21)
+    kept = 0
     for trial in range(12):
         ind = phases.indicator.copy()
         ind[inside] = rng.choice([-1, 1], size=14)
@@ -397,29 +399,96 @@ def test_exhaustive_phase_update_matches_the_per_candidate_loop(stack_elements,
         vals[zero] = 0.0
         if trial == 0:
             # a mirror-symmetric zero set: Per(e) = Per(-mirror(e)) for the
-            # datum {x > 0}, so candidates tie in pairs up to roundoff, where
-            # the first strict improvement and a plain argmin part ways
+            # datum {x > 0}, so patterns tie in pairs up to roundoff
             vals[:] = 0.0
             vals[0], vals[13] = -1.0, 1.0
         full = np.zeros(g.n_cells)
         full[inside] = vals
         u = DiscreteFunction(g, full, datum)
         form = PerimeterForm(start, tp)
-        # the per-candidate loop the stacked evaluation replaced
-        e_in = ind[inside].astype(np.int8)
-        e_in[vals > 0.0], e_in[vals < 0.0] = 1, -1
-        zero_set = np.flatnonzero(vals == 0.0)
-        best, best_e = form.value(e_in), e_in.copy()
-        for bits in range(1 << zero_set.size):
-            cand = e_in.copy()
-            for j in range(zero_set.size):
-                if bits >> j & 1:
-                    cand[zero_set[j]] = -cand[zero_set[j]]
-            val = form.value(cand)
-            if val < best - 1e-15 * max(1.0, abs(best)):
-                best, best_e = val, cand
+        # the incumbent: the start's signs, forced where u is nonzero
+        incumbent = ind.copy()
+        incumbent[inside] = np.where(vals == 0.0, ind[inside], np.sign(vals))
+        e_in = incumbent[inside]
+        best = _enumeration_minimum(form, e_in, np.flatnonzero(vals == 0.0))
         out = update_phase(u, start, tp, PARAMS, form=form)
-        assert np.array_equal(out.indicator[inside], best_e), trial
+        value, before = form.value(out.indicator[inside]), form.value(e_in)
+        assert abs(value - best) <= 1e-15 * max(1.0, abs(best)), trial
+        assert value <= before, trial
+        if best >= before - 1e-15 * max(1.0, abs(before)):
+            kept += 1
+            assert out.indicator.tobytes() == incumbent.tobytes(), trial
+    assert kept >= 2
+    # forced signs invariant under e -> -mirror(e), a symmetry of {x > 0}:
+    # the two least-perimeter patterns are each other's images and tie
+    vals = np.zeros(14)
+    vals[1], vals[12] = 1.0, -1.0
+    full = np.zeros(g.n_cells)
+    full[inside] = vals
+    u = DiscreteFunction(g, full, datum)
+    form = PerimeterForm(phases, tp)
+    best = _enumeration_minimum(form, np.where(vals < 0.0, -1, 1).astype(np.int8),
+                                np.flatnonzero(vals == 0.0))
+    for middle in (-1, 1):
+        ind = phases.indicator.copy()
+        ind[inside] = [-1, 1] + [middle] * 10 + [-1, 1]
+        assert abs(form.value(ind[inside]) - best) <= 1e-15 * best
+        out = update_phase(u, phases.with_indicator(ind), tp, PARAMS, form=form)
+        assert out.indicator.tobytes() == ind.tobytes(), middle
+
+
+@pytest.mark.parametrize("seed", [4, 6, 7, 9])
+def test_phase_update_is_exact_on_16_cell_zero_sets(seed):
+    # seeds where steepest-descent flips stop at a local minimum
+    g = build_grid(GridSpec(2, 1.0, 6, 64.0, 1.0))
+    tp = assemble_table(g, 0.5)
+    datum = halfspace_datum([1.0, 0.0], 0.0)
+    _, phases = sample_datum(datum, g)
+    inside = g.in_omega
+    n = int(inside.sum())
+    rng = np.random.RandomState(seed)
+    ind = phases.indicator.copy()
+    ind[inside] = rng.choice([-1, 1], size=n)
+    start = phases.with_indicator(ind)
+    vals = rng.choice([-1.0, 1.0], size=n)
+    zero_set = np.sort(rng.choice(n, size=16, replace=False))
+    vals[zero_set] = 0.0
+    full = np.zeros(g.n_cells)
+    full[inside] = vals
+    form = PerimeterForm(start, tp)
+    out = update_phase(DiscreteFunction(g, full, datum), start, tp, PARAMS, form=form)
+    e_in = np.where(vals > 0.0, 1, -1).astype(np.int8)
+    e_in[zero_set] = ind[inside][zero_set]
+    best = _enumeration_minimum(form, e_in, zero_set)
+    value = form.value(out.indicator[inside])
+    assert np.array_equal(out.indicator[inside][vals != 0.0], e_in[vals != 0.0])
+    assert abs(value - best) <= 1e-15 * max(1.0, abs(best))
+    assert value <= form.value(e_in)
+
+
+def test_min_cut_matches_brute_force():
+    rng = np.random.RandomState(4)
+    cases = [(np.zeros((1, 1)), np.array([0.7])), (np.zeros((1, 1)), np.array([-0.7])),
+             (np.zeros((1, 1)), np.zeros(1))]
+    for z in range(1, 11):
+        for _ in range(6):
+            w = rng.uniform(0.0, 1.0, (z, z)) * (rng.uniform(size=(z, z)) < 0.7)
+            w = np.triu(w, 1) + np.triu(w, 1).T
+            cases.append((w, rng.uniform(-1.5, 1.5, z) * z))
+            # capacities over nine decades: small ones still decide the cut
+            scales = 10.0 ** rng.uniform(-9.0, 0.0, (z, z))
+            cases.append((w * np.sqrt(scales * scales.T),
+                          rng.uniform(-1.0, 1.0, z) * 10.0 ** rng.uniform(-9.0, 0.0, z)))
+        cases += [(np.zeros((z, z)), rng.uniform(-1.0, 1.0, z)), (w, np.zeros(z))]
+    for w, c in cases:
+        def cost(x):
+            x = np.asarray(x, dtype=float)
+            return x @ c + 0.5 * np.sum(w * (x[..., :, None] != x[..., None, :]),
+                                        axis=(-2, -1))
+        x = _min_cut(w, c)
+        assert x.dtype == bool and x.shape == c.shape
+        brute = cost(_bit_table(c.size)).min()
+        assert cost(x) <= brute + 1e-13 * (np.abs(c).sum() + w.sum())
 
 
 def test_warm_started_solve_matches_cold_solve_with_active_constraints():
@@ -436,35 +505,6 @@ def test_warm_started_solve_matches_cold_solve_with_active_constraints():
     assert warm.iterations == 0 and warm.converged
     assert np.max(np.abs(warm.values - cold.values)) <= 1e-12
     assert warm.kkt_residual <= 1e-12
-
-
-def test_greedy_flips_match_per_cell_flip_delta_reference():
-    # u = 0: all 16 cells are in the zero set, more than exhaustive_cap
-    g, tg, tp = small_setup(m=16)
-    datum = halfspace_datum([1.0], 0.0)
-    _, phases = sample_datum(datum, g)
-    ind = phases.indicator.copy()
-    ind[g.in_omega] = np.random.RandomState(8).choice([-1, 1], size=16)
-    scrambled = phases.with_indicator(ind)
-    params = SolverParams()
-    assert 16 > params.exhaustive_cap
-    form = PerimeterForm(scrambled, tp)
-    ref = scrambled.indicator[g.in_omega].astype(np.int8)
-    ref_flips = []
-    while True:
-        deltas = np.array([form.flip_delta(ref, k) for k in range(16)])
-        k_best = int(np.argmin(deltas))
-        if deltas[k_best] >= -1e-13 * max(1.0, abs(form.value(ref))):
-            break
-        ref[k_best] = -ref[k_best]
-        ref_flips.append(k_best)
-    assert len(ref_flips) >= 2
-    e_in = scrambled.indicator[g.in_omega].astype(np.int8)
-    assert _greedy_flips(form, e_in, np.arange(16)) == ref_flips
-    assert np.array_equal(e_in, ref)
-    u0 = DiscreteFunction(g, np.zeros(g.n_cells), datum)
-    out = update_phase(u0, scrambled, tp, params)
-    assert np.array_equal(out.indicator[g.in_omega], ref)
 
 
 def test_trace_entries_equal_total_energy_of_their_pairs(monkeypatch):
