@@ -1,12 +1,13 @@
 """Experiment orchestration: named pipelines, JSON configs, CSV reports.
 
 Usage: fracfree <experiment> --config <path> [--outdir DIR] [--threads N]
-                             [--seed N] [--cache-dir DIR]
+                             [--seed N]
 
 Each run creates <outdir>/<experiment>-<timestamp>/ containing config.json
 (the fully defaulted echo), schema.json, summary.json and the experiment's
-CSV profiles. Exit codes: 0 success; 2 invalid config, or an output that
-cannot be written (an OSError); 3 solver did not converge; 4 internal
+CSV profiles. Exit codes: 0 success; 2 invalid config (a bad value, a
+mistyped one or an unknown key), or an output that cannot be written (an
+OSError); 3 solver did not converge; 4 internal
 failure (a failed assertion, a package error, a ValueError such as
 LinAlgError, or a MemoryError). Every nonzero code prints one error: line.
 """
@@ -117,7 +118,6 @@ CONFIG_SCHEMA = {
     "output_dir": "runs",
     "seed": 0,
     "threads": None,
-    "cache_dir": None,
 }
 
 _GRID_KEYS = set(CONFIG_SCHEMA["grid"])
@@ -126,7 +126,7 @@ _SOLVER_KEYS = set(CONFIG_SCHEMA["solver"]) | {"seed"}
 _EXTENSION_KEYS = set(CONFIG_SCHEMA["extension"])
 _TOP_KEYS = {
     "experiment", "grid", "fractional", "datum", "solver", "extension",
-    "experiment_params", "output_dir", "seed", "threads", "cache_dir",
+    "experiment_params", "output_dir", "seed", "threads",
 }
 
 
@@ -142,7 +142,6 @@ class ExperimentConfig:
     output_dir: str
     seed: int
     threads: int | None
-    cache_dir: str | None
     echo: dict
 
 
@@ -164,6 +163,29 @@ def _reject_unknown(section: dict, allowed: set, path: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError(f"unknown keys under {path}: {', '.join(unknown)}")
+
+
+def _section(raw: dict, key: str, default: dict) -> dict:
+    value = raw.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: must be an object, got {value!r}")
+    return dict(value)
+
+
+def _check_types(doc: dict, path: str) -> None:
+    """Each value takes the type of its schema default: an integer where
+    that is an integer, a number where it is a number, a number or null
+    where it is null."""
+    for key, default in CONFIG_SCHEMA[path].items():
+        v = doc[key]
+        if numerics.is_integer(default):
+            ok, rule = numerics.is_integer(v), "an integer"
+        elif default is None:
+            ok, rule = v is None or numerics.is_number(v), "a number or null"
+        else:
+            ok, rule = numerics.is_number(v), "a number"
+        if not ok:
+            raise ConfigError(f"{path}.{key}: must be {rule}, got {v!r}")
 
 
 def _build_datum(spec: dict, dimension: int) -> ExteriorDatum:
@@ -202,6 +224,8 @@ def _build_datum(spec: dict, dimension: int) -> ExteriorDatum:
                                    spec.get("far_value"), sset)
     except KeyError as exc:
         raise ConfigError(f"datum.{exc.args[0]}: required for kind {kind!r}") from exc
+    except (TypeError, ValueError, InvalidSpecError) as exc:
+        raise ConfigError(f"datum: {exc}") from exc
     raise ConfigError(
         f"datum.kind: unknown kind {kind!r} "
         "(expected halfspace, ball, constant, cone or tabulated)"
@@ -222,14 +246,16 @@ def validate_config(source) -> ExperimentConfig:
             f"experiment: unknown name {experiment!r}; valid names: "
             + ", ".join(EXPERIMENTS)
         )
-    grid_in = dict(raw.get("grid", {}))
+    grid_in = _section(raw, "grid", {})
     _reject_unknown(grid_in, _GRID_KEYS, "grid")
     grid_doc = dict(CONFIG_SCHEMA["grid"])
     grid_doc.update(grid_in)
-    frac_in = dict(raw.get("fractional", {}))
+    _check_types(grid_doc, "grid")
+    frac_in = _section(raw, "fractional", {})
     _reject_unknown(frac_in, _FRACTIONAL_KEYS, "fractional")
     frac_doc = dict(CONFIG_SCHEMA["fractional"])
     frac_doc.update(frac_in)
+    _check_types(frac_doc, "fractional")
     try:
         grid_spec = GridSpec(**grid_doc)
     except InvalidSpecError as exc:
@@ -241,18 +267,28 @@ def validate_config(source) -> ExperimentConfig:
     if frac_doc["c_ratio"] <= 0:
         raise ConfigError("fractional.c_ratio: must be positive")
     fractional = FractionalParams(**frac_doc)
-    datum_doc = dict(raw.get("datum", {"kind": "halfspace"}))
+    datum_doc = _section(raw, "datum", {"kind": "halfspace"})
     datum = _build_datum(datum_doc, grid_spec.dimension)
-    solver_in = dict(raw.get("solver", {}))
+    solver_in = _section(raw, "solver", {})
     _reject_unknown(solver_in, _SOLVER_KEYS, "solver")
     solver_doc = dict(CONFIG_SCHEMA["solver"])
     solver_doc.update(solver_in)
-    seed = int(raw.get("seed", CONFIG_SCHEMA["seed"]))
+    _check_types(solver_doc, "solver")
+    seed = raw.get("seed", CONFIG_SCHEMA["seed"])
+    if not numerics.is_integer(seed):
+        raise ConfigError(f"seed: must be an integer, got {seed!r}")
+    seed = int(seed)
+    threads = raw.get("threads")
+    if not (threads is None or numerics.is_integer(threads) and threads >= 1):
+        raise ConfigError(f"threads: must be an integer >= 1 or null, got {threads!r}")
+    output_dir = raw.get("output_dir", CONFIG_SCHEMA["output_dir"])
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: must be a string, got {output_dir!r}")
     try:
         solver = SolverParams(seed=seed, **solver_doc)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
-    ext_in = dict(raw.get("extension", {}))
+    ext_in = _section(raw, "extension", {})
     _reject_unknown(ext_in, _EXTENSION_KEYS, "extension")
     ext_doc = dict(CONFIG_SCHEMA["extension"])
     ext_doc.update(ext_in)
@@ -260,7 +296,7 @@ def validate_config(source) -> ExperimentConfig:
         check_half_grid_options(**ext_doc)
     except InvalidSpecError as exc:
         raise ConfigError(f"extension.{exc}") from exc
-    params = dict(raw.get("experiment_params", {}))
+    params = _section(raw, "experiment_params", {})
     echo = {
         "experiment": experiment,
         "grid": grid_doc,
@@ -269,9 +305,8 @@ def validate_config(source) -> ExperimentConfig:
         "solver": solver_doc,
         "extension": ext_doc,
         "experiment_params": params,
-        "output_dir": raw.get("output_dir", CONFIG_SCHEMA["output_dir"]),
+        "output_dir": output_dir,
         "seed": seed,
-        "cache_dir": raw.get("cache_dir"),
     }
     return ExperimentConfig(
         experiment=experiment,
@@ -281,10 +316,9 @@ def validate_config(source) -> ExperimentConfig:
         solver=solver,
         extension=ext_doc,
         experiment_params=params,
-        output_dir=echo["output_dir"],
+        output_dir=output_dir,
         seed=seed,
-        threads=raw.get("threads"),
-        cache_dir=raw.get("cache_dir"),
+        threads=threads,
         echo=echo,
     )
 
@@ -294,8 +328,8 @@ def validate_config(source) -> ExperimentConfig:
 
 def _tables(cfg: ExperimentConfig, grid=None):
     g = build_grid(cfg.grid_spec) if grid is None else grid
-    tg = assemble_table(g, 2.0 * cfg.fractional.s, cache_dir=cfg.cache_dir)
-    tp = assemble_table(g, cfg.fractional.sigma, cache_dir=cfg.cache_dir)
+    tg = assemble_table(g, 2.0 * cfg.fractional.s)
+    tp = assemble_table(g, cfg.fractional.sigma)
     return g, tg, tp
 
 
@@ -613,7 +647,7 @@ def _run_dyda(cfg, run_dir):
     for m in cells:
         spec = replace(cfg.grid_spec, cells_per_side=m)
         g = build_grid(spec)
-        table = assemble_table(g, 2.0 * s, cache_dir=cfg.cache_dir)
+        table = assemble_table(g, 2.0 * s)
         u, _ = sample_datum(datum, g)
         x = g.centers[:, 0]
         sel = np.flatnonzero((x >= window[0]) & (x <= window[1]))
@@ -797,7 +831,6 @@ def main(argv=None) -> int:
     parser.add_argument("--outdir", default=None, help="output root directory")
     parser.add_argument("--threads", type=int, default=None, help="worker cap")
     parser.add_argument("--seed", type=int, default=None, help="override seed")
-    parser.add_argument("--cache-dir", default=None, help="kernel table cache")
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:
@@ -819,8 +852,6 @@ def main(argv=None) -> int:
         raw["threads"] = args.threads
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.cache_dir is not None:
-        raw["cache_dir"] = args.cache_dir
     try:
         config = validate_config(raw)
     except ConfigError as exc:

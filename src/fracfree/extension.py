@@ -47,7 +47,7 @@ from .model import (
     IndicatorF,
     PhaseSet,
 )
-from .numerics import ordered_sum, smoothstep_quintic
+from .numerics import is_integer, is_number, ordered_sum, smoothstep_quintic
 from .quadrature import _HalfplaneTerm, _point_term_mass, datum_far_pieces
 
 STRETCH_RATIO = 1.10       # geometric sampling of unbounded smooth data
@@ -103,22 +103,14 @@ class HalfGrid:
 def check_half_grid_options(ratio, z_first, levels, top, pad_cells) -> None:
     """Range-check the options of make_half_grid; an InvalidSpecError names
     the first bad one."""
-
-    def number(v):
-        return (isinstance(v, (int, float, np.integer, np.floating))
-                and not isinstance(v, bool) and math.isfinite(v))
-
-    def integer(v):
-        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
     for key, v, rule, ok in (
-        ("ratio", ratio, "a number > 1", number(ratio) and ratio > 1.0),
+        ("ratio", ratio, "a number > 1", is_number(ratio) and ratio > 1.0),
         ("z_first", z_first, "a number > 0 or null",
-         z_first is None or number(z_first) and z_first > 0.0),
+         z_first is None or is_number(z_first) and z_first > 0.0),
         ("levels", levels, "an integer >= 1 or null",
-         levels is None or integer(levels) and levels >= 1),
-        ("top", top, "a number > 0 or null", top is None or number(top) and top > 0.0),
-        ("pad_cells", pad_cells, "an integer >= 0", integer(pad_cells) and pad_cells >= 0),
+         levels is None or is_integer(levels) and levels >= 1),
+        ("top", top, "a number > 0 or null", top is None or is_number(top) and top > 0.0),
+        ("pad_cells", pad_cells, "an integer >= 0", is_integer(pad_cells) and pad_cells >= 0),
     ):
         if not ok:
             raise InvalidSpecError(f"{key}: must be {rule}, got {v!r}")

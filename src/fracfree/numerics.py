@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,6 +25,16 @@ def ordered_sum(values) -> float:
     """Compensated sum in array order (Shewchuk); independent of workers."""
     arr = np.asarray(values, dtype=float).ravel()
     return math.fsum(arr.tolist())
+
+
+def is_integer(v) -> bool:
+    """An integer, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    """A finite real number, and not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def map_blocks(fn, blocks):

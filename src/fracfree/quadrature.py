@@ -7,8 +7,10 @@ that it keeps its digits for far gaps and for alpha near 1. Cell-pair
 weights W_ij (the kernel integrated over C_i x C_j) in 1D are a difference
 of two chord masses, or for equal cells at least two widths apart 20-point
 Gauss on the all-positive difference-variable integral. In 2D they reduce
-to the difference variable: separated pairs take tensor Gauss, touching
-pairs an angular rule with exact radial integrals. Tail weights integrate
+to the difference variable: separated pairs take tensor Gauss, each pair
+converged to a relative tol on its own in one batched pass, and touching
+pairs an angular rule with exact radial integrals; a table's offsets are
+cell_pair_weight's values, keyed by its tol. Tail weights integrate
 a cell against an unbounded exterior region: chord masses in 1D, every
 cell at once; in 2D, for alpha < 1, the chord mass along every line
 through the cell, with quadrature over the lines only (Santalo's
@@ -44,13 +46,8 @@ point rule.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
-import tempfile
 import warnings
-import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,12 +66,12 @@ from .model import (
 )
 from .numerics import map_blocks, ordered_sum
 
-CACHE_VERSION = 4
 NEAR_FACTOR = 2.0          # subdivide cells nearer the box boundary than this many diameters
 DEPTH_1D = 12
 DEPTH_2D = 6
 _TOUCH_SNAP = 1e-12        # 1D edges within this many cell widths touch
 _POLAR_ORDER_MAX = 768     # order cap of the polar rule for near separated 2D pairs
+_GAUSS_ROWS = 128          # pairs per block of the batched tensor Gauss
 
 
 def _check_alpha(alpha: float) -> None:
@@ -173,11 +170,13 @@ def _gauss01(n: int):
 
 
 def _axis_patches(delta, wa, wb):
-    """Breakpoints of the correlation trapezoid of two widths at offset delta."""
+    """Pieces of the correlation trapezoid of two widths at offset delta (a
+    number or an array of them) on which it is linear: rise, plateau (only
+    for unequal widths) and fall."""
     half_sum = 0.5 * (wa + wb)
     half_diff = 0.5 * abs(wa - wb)
     pts = [delta - half_sum, delta - half_diff, delta + half_diff, delta + half_sum]
-    return [(pts[i], pts[i + 1]) for i in range(3) if pts[i + 1] > pts[i]]
+    return [(pts[i], pts[i + 1]) for i in range(3) if i != 1 or half_diff > 0.0]
 
 
 def _trap_value(t, delta, wa, wb):
@@ -187,20 +186,26 @@ def _trap_value(t, delta, wa, wb):
 
 
 def _pair_weight_gauss_2d(delta, wa, wb, alpha, order):
-    """Tent-reduced weight for a separated 2D pair, tensor Gauss per patch."""
+    """Tent-reduced weights of separated 2D pairs of cell widths wa and wb,
+    one per row of the (P, 2) centre offsets delta, by tensor Gauss per
+    patch. Each row is reduced on its own, so its value does not depend on
+    the rows beside it or on the blocking."""
     xs, ws = _gauss01(order)
-    total = 0.0
-    for p0 in _axis_patches(delta[0], wa[0], wb[0]):
-        for p1 in _axis_patches(delta[1], wa[1], wb[1]):
-            t0 = p0[0] + (p0[1] - p0[0]) * xs
-            t1 = p1[0] + (p1[1] - p1[0]) * xs
-            f0 = _trap_value(t0, delta[0], wa[0], wb[0])
-            f1 = _trap_value(t1, delta[1], wa[1], wb[1])
-            r2 = t0[:, None] ** 2 + t1[None, :] ** 2
-            kern = r2 ** (-(2.0 + alpha) / 2.0)
-            patch = (ws * f0) @ kern @ (ws * f1)
-            total += (p0[1] - p0[0]) * (p1[1] - p1[0]) * patch
-    return float(total)
+    out = np.zeros(len(delta))
+    for start in range(0, len(delta), _GAUSS_ROWS):
+        block = delta[start:start + _GAUSS_ROWS]
+        for p0 in _axis_patches(block[:, :1], wa[0], wb[0]):
+            for p1 in _axis_patches(block[:, 1:], wa[1], wb[1]):
+                t0 = p0[0] + (p0[1] - p0[0]) * xs
+                t1 = p1[0] + (p1[1] - p1[0]) * xs
+                f0 = ws * _trap_value(t0, block[:, :1], wa[0], wb[0])
+                f1 = ws * _trap_value(t1, block[:, 1:], wa[1], wb[1])
+                r2 = t0[:, :, None] ** 2 + t1[:, None, :] ** 2
+                kern = r2 ** (-(2.0 + alpha) / 2.0)
+                patch = (f0 * (kern * f1[:, None, :]).sum(axis=2)).sum(axis=1)
+                area = (p0[1] - p0[0]) * (p1[1] - p1[0])
+                out[start:start + _GAUSS_ROWS] += area[:, 0] * patch
+    return out
 
 
 def _radial_poly_integral(t0, t1, q0, q1, q2, alpha):
@@ -299,38 +304,43 @@ def _pair_weight_polar_2d(delta, wa, wb, alpha, order=12):
 
 
 def _separated_pair_weight_2d(delta, wa, wb, alpha, tol):
-    """Weight of a separated 2D pair, converged to tol.
+    """Weights of separated 2D pairs of cell widths wa and wb, one per row
+    of the (P, 2) centre offsets delta, each converged to tol.
 
-    Pairs at least a cell width apart take tensor Gauss at orders 12, 18
-    and 32 and stop when the last step moved the value by at most tol.
-    Nearer pairs, and far ones where Gauss does not settle, take the polar
-    rule, its order doubled from 12 until a doubling moves it by at most
-    tol; at _POLAR_ORDER_MAX a RuntimeWarning reports the change. Near
-    the kernel singularity Gauss stalls: at a gap of 1e-3 cell widths its
-    order-32 value is 0.4% off.
+    Rows at least a cell width apart take tensor Gauss at orders 12, 18
+    and 32, each stopping when its own last step moved it by at most tol.
+    Nearer rows, and far ones where Gauss does not settle, take the polar
+    rule one by one, its order doubled from 12 until a doubling moves it by
+    at most tol; at _POLAR_ORDER_MAX a RuntimeWarning reports the change.
+    Near the kernel singularity Gauss stalls: at a gap of 1e-3 cell widths
+    its order-32 value is 0.4% off.
     """
-    gap = math.hypot(*np.maximum(np.abs(delta) - 0.5 * (wa + wb), 0.0))
-    if gap >= max(wa.max(), wb.max()):
-        prev = _pair_weight_gauss_2d(delta, wa, wb, alpha, 12)
-        for order in (18, 32):
-            cur = _pair_weight_gauss_2d(delta, wa, wb, alpha, order)
-            if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
-                return cur
+    gap = np.hypot(*np.maximum(np.abs(delta) - 0.5 * (wa + wb), 0.0).T)
+    out = np.full(len(delta), np.nan)
+    todo = np.flatnonzero(gap >= max(wa.max(), wb.max()))
+    prev = _pair_weight_gauss_2d(delta[todo], wa, wb, alpha, 12)
+    for order in (18, 32):
+        cur = _pair_weight_gauss_2d(delta[todo], wa, wb, alpha, order)
+        done = np.abs(cur - prev) <= tol * np.maximum(np.abs(cur), 1e-300)
+        out[todo[done]] = cur[done]
+        todo, prev = todo[~done], cur[~done]
+    for i in np.flatnonzero(np.isnan(out)):
+        order = 12
+        prev = _pair_weight_polar_2d(delta[i], wa, wb, alpha, order)
+        while True:
+            order *= 2
+            cur = _pair_weight_polar_2d(delta[i], wa, wb, alpha, order)
+            moved = abs(cur - prev) / max(abs(cur), 1e-300)
+            if moved <= tol:
+                break
+            if order >= _POLAR_ORDER_MAX:
+                warnings.warn(f"2D pair weight stopped at order {order} with relative "
+                              f"change {moved:.2e} > tol {tol:.1e}", RuntimeWarning,
+                              stacklevel=3)
+                break
             prev = cur
-    order = 12
-    prev = _pair_weight_polar_2d(delta, wa, wb, alpha, order)
-    while True:
-        order *= 2
-        cur = _pair_weight_polar_2d(delta, wa, wb, alpha, order)
-        moved = abs(cur - prev) / max(abs(cur), 1e-300)
-        if moved <= tol:
-            return float(cur)
-        if order >= _POLAR_ORDER_MAX:
-            warnings.warn(f"2D pair weight stopped at order {order} with relative "
-                          f"change {moved:.2e} > tol {tol:.1e}", RuntimeWarning,
-                          stacklevel=3)
-            return float(cur)
-        prev = cur
+        out[i] = cur
+    return out
 
 
 def cell_pair_weight(cell_a, cell_b, alpha: float, tol: float = 1e-9) -> float:
@@ -390,7 +400,7 @@ def cell_pair_weight(cell_a, cell_b, alpha: float, tol: float = 1e-9) -> float:
                 "grid-aligned cells only"
             )
         return _pair_weight_polar_2d(delta, wa, wb, alpha)
-    return _separated_pair_weight_2d(delta, wa, wb, alpha, tol)
+    return float(_separated_pair_weight_2d(delta[None], wa, wb, alpha, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1148,104 +1158,40 @@ def _offsets_1d(m: int, h: float, alpha: float) -> np.ndarray:
     return offs
 
 
-def _offsets_2d(m: int, h: float, alpha: float) -> np.ndarray:
+def _offsets_2d(m: int, h: float, alpha: float, tol: float) -> np.ndarray:
+    """Pair weights by index offset (dx, dy): the touching offsets (0, 1) and
+    (1, 1) by the polar rule, or the midpoint convention for alpha >= 1,
+    and every other offset from one batched _separated_pair_weight_2d
+    call, so each equals cell_pair_weight of its pair at tol."""
     offs = np.zeros((m, m))
     widths = np.array([h, h])
-
-    def row(dx: int) -> np.ndarray:
-        vals = np.zeros(m)
-        for dy in range(dx, m):
-            if dx == 0 and dy == 0:
-                continue
-            delta = np.array([dx * h, dy * h])
-            if max(dx, dy) <= 1:  # touching offsets (0,1) and (1,1)
-                if alpha >= 1.0:
-                    kind = "edge" if min(dx, dy) == 0 else "corner"
-                    vals[dy] = _midpoint_touch_2d(kind, h, alpha)
-                else:
-                    vals[dy] = _pair_weight_polar_2d(delta, widths, widths, alpha)
-            else:
-                vals[dy] = _pair_weight_gauss_2d(delta, widths, widths, alpha, 12)
-        return vals
-
-    rows = map_blocks(row, list(range(m)))
-    for dx, vals in enumerate(rows):
-        offs[dx, dx:] = vals[dx:]
-        offs[dx:, dx] = vals[dx:]
-    return offs
+    if alpha >= 1.0:
+        offs[0, 1] = _midpoint_touch_2d("edge", h, alpha)
+        offs[1, 1] = _midpoint_touch_2d("corner", h, alpha)
+    else:
+        offs[0, 1] = _pair_weight_polar_2d(np.array([0.0, h]), widths, widths, alpha)
+        offs[1, 1] = _pair_weight_polar_2d(np.array([h, h]), widths, widths, alpha)
+    dx, dy = np.triu_indices(m)
+    far = dy >= 2
+    dx, dy = dx[far], dy[far]
+    offs[dx, dy] = _separated_pair_weight_2d(
+        np.stack([dx * h, dy * h], axis=1), widths, widths, alpha, tol)
+    return offs + np.triu(offs, 1).T
 
 
-def _cache_header(grid: Grid, alpha: float, tol: float) -> dict:
-    spec = grid.spec
-    return {
-        "version": CACHE_VERSION,
-        "n": spec.dimension,
-        "m": spec.cells_per_side,
-        "L": spec.half_width,
-        "alpha": alpha,
-        "tol": tol,
-    }
-
-
-def _cache_path(cache_dir: str, header: dict) -> str:
-    blob = json.dumps(header, sort_keys=True).encode()
-    digest = hashlib.sha256(blob).hexdigest()[:16]
-    return os.path.join(cache_dir, f"ktable-{digest}.npz")
-
-
-def _load_cached_offsets(path: str, header: dict):
-    """Offsets stored at path under the same header, or None.
-
-    A missing, truncated or otherwise unreadable file is a miss, like a
-    file written under another header.
-    """
-    try:
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as payload:
-            if json.loads(str(payload["header"])) != header:
-                return None
-            return payload["offsets"].copy()
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-        return None
-
-
-def _store_offsets(path: str, header: dict, offsets: np.ndarray) -> None:
-    """Write through a temporary file beside path, then rename over it, so
-    readers only ever see a complete file."""
-    cache_dir = os.path.dirname(path)
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, header=json.dumps(header, sort_keys=True), offsets=offsets)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def assemble_table(grid: Grid, alpha: float, tol: float = 1e-9,
-                   cache_dir: str | None = None) -> KernelTable:
+def assemble_table(grid: Grid, alpha: float, tol: float = 1e-9) -> KernelTable:
     """All unordered pair weights of the grid, deduplicated by offset.
 
-    Deterministic regardless of worker count: rows are computed in fixed
-    blocks and merged in index order. With ``cache_dir`` the offset array
-    is cached on disk keyed by (n, m, L, alpha, tol, version); an
-    unreadable cache file is recomputed and rewritten.
+    Each offset's weight is cell_pair_weight of its pair of cells: the
+    separated ones converged to the relative tol, the same tol that keys
+    the table's tails.
     """
     _check_alpha(alpha)
-    header = _cache_header(grid, alpha, tol)
-    if cache_dir is not None:
-        path = _cache_path(cache_dir, header)
-        offsets = _load_cached_offsets(path, header)
-        if offsets is not None:
-            return KernelTable(grid, alpha, tol, offsets)
     m, h = grid.spec.cells_per_side, grid.h
     if grid.dimension == 1:
         offsets = _offsets_1d(m, h, alpha)
     else:
-        offsets = _offsets_2d(m, h, alpha)
-    if cache_dir is not None:
-        _store_offsets(path, header, offsets)
+        offsets = _offsets_2d(m, h, alpha, tol)
     return KernelTable(grid, alpha, tol, offsets)
 
 

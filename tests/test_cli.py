@@ -215,6 +215,31 @@ def test_main_exit_code_2_on_invalid_extension(tmp_path, capsys, key, value):
     assert len(err) == 1 and err[0].startswith(f"error: invalid config: extension.{key}: ")
 
 
+@pytest.mark.parametrize("path, value, named", [
+    ("seed", "abc", "seed: "),
+    ("grid.half_width", "2", "grid.half_width: "),
+    ("solver.max_outer_iters", "5", "solver.max_outer_iters: "),
+    ("fractional.s", "0.3", "fractional.s: "),
+    ("experiment_params", [1], "experiment_params: "),
+    ("datum.offset", "x", "datum: "),
+    ("threads", "x", "threads: "),
+    ("threads", -3, "threads: "),
+    ("threads", 0, "threads: "),
+    ("cache_dir", "cache", "unknown keys under top level: cache_dir"),
+])
+def test_main_exit_code_2_on_mistyped_config(tmp_path, capsys, path, value, named):
+    # a value of the wrong type, a worker count below one and a key that
+    # sets nothing are config errors, each named in the one error line
+    cfg = minimal_config(tmp_path / "runs")
+    section, _, key = path.rpartition(".")
+    (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["energy", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid config: " + named)
+
+
 @pytest.mark.parametrize("radii", [[], [0.0], [-1.0], [1.0, 1.0], [1.0]])
 def test_main_exit_code_2_on_invalid_cone2d_radii(tmp_path, capsys, radii):
     # the first four passed both verdicts vacuously with exit 0

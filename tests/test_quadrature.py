@@ -1,4 +1,3 @@
-import gc
 import math
 import warnings
 
@@ -340,6 +339,25 @@ def test_assemble_table_thread_count_invariance():
     assert np.array_equal(t1.offset_weights, t4.offset_weights)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.2])
+def test_2d_table_offsets_are_cell_pair_weights(alpha):
+    # h = 1/4, so that the grid's cells have equal widths and neighbours
+    # touch exactly in floating point
+    g = build_grid(GridSpec(2, 0.75, 6, 64.0, 0.75))
+    table = assemble_table(g, alpha)
+    dense = table.dense_matrix()
+    for i in range(g.n_cells):
+        for j in range(i + 1, g.n_cells):
+            direct = cell_pair_weight((g.centers[i] - g.h / 2, g.centers[i] + g.h / 2),
+                                      (g.centers[j] - g.h / 2, g.centers[j] + g.h / 2),
+                                      alpha, tol=table.tol)
+            assert abs(dense[i, j] / direct - 1.0) <= 1e-14, (i, j)
+    # an offset's weight does not depend on the grid it was batched with
+    small = assemble_table(build_grid(GridSpec(2, 1.0, 8, 64.0, 1.0)), alpha)
+    large = assemble_table(build_grid(GridSpec(2, 2.0, 16, 128.0, 1.0)), alpha)
+    assert np.array_equal(small.offset_weights, large.offset_weights[:8, :8])
+
+
 def test_table_scaled_grid_weights():
     # W(r C_i, r C_j) = r^(n - alpha) W(C_i, C_j) within 1e-12
     alpha = 0.5
@@ -349,54 +367,6 @@ def test_table_scaled_grid_weights():
     t2 = assemble_table(g2, alpha)
     ratio = 2.0 ** (1.0 - alpha)
     assert np.allclose(t2.offset_weights[1:], ratio * t1.offset_weights[1:], rtol=1e-12)
-
-
-def test_table_cache_roundtrip(tmp_path):
-    g = build_grid(GridSpec(1, 1.0, 16, 64.0, 1.0))
-    t1 = assemble_table(g, 0.5, cache_dir=str(tmp_path))
-    files = list(tmp_path.glob("ktable-*.npz"))
-    assert len(files) == 1
-    t2 = assemble_table(g, 0.5, cache_dir=str(tmp_path))
-    assert np.array_equal(t1.offset_weights, t2.offset_weights)
-    # different exponent gets its own entry
-    assemble_table(g, 0.7, cache_dir=str(tmp_path))
-    assert len(list(tmp_path.glob("ktable-*.npz"))) == 2
-    # header is validated, not trusted blindly
-    import json
-    with np.load(files[0]) as payload:
-        header = json.loads(str(payload["header"]))
-    assert header["alpha"] == 0.5 and header["m"] == 16 and header["version"] >= 1
-
-
-@pytest.mark.parametrize("keep", [0, 100])
-def test_table_cache_recomputes_truncated_file(tmp_path, keep):
-    g = build_grid(GridSpec(1, 1.0, 16, 64.0, 1.0))
-    fresh = assemble_table(g, 0.5)
-    assemble_table(g, 0.5, cache_dir=str(tmp_path))
-    (path,) = tmp_path.iterdir()
-    path.write_bytes(path.read_bytes()[:keep])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rebuilt = assemble_table(g, 0.5, cache_dir=str(tmp_path))
-        gc.collect()
-    # the unreadable file was closed on the failing path too
-    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-    assert np.array_equal(rebuilt.offset_weights, fresh.offset_weights)
-    # the rewritten file is whole and replaced the truncated one in place
-    assert list(tmp_path.iterdir()) == [path]
-    reread = assemble_table(g, 0.5, cache_dir=str(tmp_path))
-    assert np.array_equal(reread.offset_weights, fresh.offset_weights)
-
-
-def test_table_cache_version_bump_invalidates(tmp_path, monkeypatch):
-    g = build_grid(GridSpec(1, 1.0, 8, 64.0, 1.0))
-    t1 = assemble_table(g, 0.5, cache_dir=str(tmp_path))
-    from fracfree import quadrature as q
-
-    monkeypatch.setattr(q, "CACHE_VERSION", q.CACHE_VERSION + 1)
-    t2 = assemble_table(g, 0.5, cache_dir=str(tmp_path))  # recomputes, re-stores
-    assert np.array_equal(t1.offset_weights, t2.offset_weights)
-    assert len(list(tmp_path.glob("ktable-*.npz"))) == 2
 
 
 def test_set_exterior_regions_halfspace():
