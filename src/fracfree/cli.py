@@ -3,13 +3,16 @@
 Usage: fracfree <experiment> --config <path> [--outdir DIR] [--threads N]
                              [--seed N]
 
-Each run creates <outdir>/<experiment>-<timestamp>/ containing config.json
-(the fully defaulted echo), schema.json, summary.json and the experiment's
-CSV profiles. Exit codes: 0 success; 2 invalid config (a bad value, a
-mistyped one or an unknown key), or an output that cannot be written (an
-OSError); 3 solver did not converge; 4 internal
-failure (a failed assertion, a package error, a ValueError such as
-LinAlgError, or a MemoryError). Every nonzero code prints one error: line.
+An experiment's options are declared with their defaults in
+EXPERIMENT_PARAMS and checked by validate_config with the rest of the
+config. Each run creates <outdir>/<experiment>-<timestamp>/ containing
+config.json (the fully defaulted echo), schema.json, summary.json and the
+experiment's CSV profiles. Exit codes: 0 success; 2 invalid config (a bad
+value, a mistyped one, an unknown key or an option its experiment cannot
+run with), or an output that cannot be written (an OSError); 3 solver did
+not converge; 4 internal failure (a failed assertion, a package error, a
+ValueError such as LinAlgError, or a MemoryError). Every nonzero code
+prints one error: line.
 """
 
 from __future__ import annotations
@@ -68,19 +71,22 @@ from .solver import (
     brute_force_minimize,
 )
 
-EXPERIMENTS = (
-    "energy",
-    "minimize",
-    "oracle",
-    "comparison",
-    "remark-r",
-    "plateau",
-    "weiss-scan",
-    "blowup",
-    "cone2d",
-    "dyda",
-    "energy-bound",
-)
+# each experiment's options with their defaults; a null radii for
+# weiss-scan means nine radii from 0.25 to 0.95 of the domain radius
+EXPERIMENT_PARAMS = {
+    "energy": {},
+    "minimize": {},
+    "oracle": {},
+    "comparison": {"bound": None, "side": "above"},
+    "remark-r": {},
+    "plateau": {},
+    "weiss-scan": {"radii": None},
+    "blowup": {"scales": [1, 2], "radii": [0.5, 0.75, 1.0]},
+    "cone2d": {"radii": [4.0, 8.0, 16.0]},
+    "dyda": {"cells": [64, 128, 256], "window": [0.25, 0.75]},
+    "energy-bound": {"instances": 5, "low": -1.0, "high": 1.0},
+}
+EXPERIMENTS = tuple(EXPERIMENT_PARAMS)
 
 CONFIG_SCHEMA = {
     "experiment": "one of " + ", ".join(EXPERIMENTS),
@@ -114,20 +120,16 @@ CONFIG_SCHEMA = {
         "top": None,
         "pad_cells": 0,
     },
-    "experiment_params": "per-experiment options (see run_experiment)",
+    "experiment_params": EXPERIMENT_PARAMS,
     "output_dir": "runs",
     "seed": 0,
     "threads": None,
 }
 
-_GRID_KEYS = set(CONFIG_SCHEMA["grid"])
-_FRACTIONAL_KEYS = set(CONFIG_SCHEMA["fractional"])
-_SOLVER_KEYS = set(CONFIG_SCHEMA["solver"]) | {"seed"}
-_EXTENSION_KEYS = set(CONFIG_SCHEMA["extension"])
-_TOP_KEYS = {
-    "experiment", "grid", "fractional", "datum", "solver", "extension",
-    "experiment_params", "output_dir", "seed", "threads",
-}
+# what a null default stands for where it is not a number, and the values
+# of the one string option
+_NULL_TYPES = {"radii": [1.0]}
+_CHOICES = {"side": ("above", "below")}
 
 
 @dataclass
@@ -172,20 +174,70 @@ def _section(raw: dict, key: str, default: dict) -> dict:
     return dict(value)
 
 
-def _check_types(doc: dict, path: str) -> None:
-    """Each value takes the type of its schema default: an integer where
-    that is an integer, a number where it is a number, a number or null
-    where it is null."""
-    for key, default in CONFIG_SCHEMA[path].items():
-        v = doc[key]
-        if numerics.is_integer(default):
-            ok, rule = numerics.is_integer(v), "an integer"
-        elif default is None:
-            ok, rule = v is None or numerics.is_number(v), "a number or null"
-        else:
-            ok, rule = numerics.is_number(v), "a number"
+def _type_rule(default, key: str):
+    """The test a value passes where the schema default is ``default``, and
+    its wording; a null default admits null or a number, or null or the
+    type that _NULL_TYPES gives for its key."""
+    if default is None:
+        test, rule = _type_rule(_NULL_TYPES.get(key, 0.0), key)
+        return (lambda v: v is None or test(v)), rule + " or null"
+    if isinstance(default, str):
+        choices = _CHOICES[key]
+        return (lambda v: v in choices), "one of " + ", ".join(choices)
+    if isinstance(default, list):
+        test, rule = _type_rule(default[0], key)
+        return ((lambda v: isinstance(v, list) and all(map(test, v))),
+                f"a list of {rule.split()[-1]}s")
+    if numerics.is_integer(default):
+        return numerics.is_integer, "an integer"
+    return numerics.is_number, "a number"
+
+
+def _check_types(doc: dict, defaults: dict, path: str) -> None:
+    """Each value takes the type of its schema default (see _type_rule)."""
+    for key, default in defaults.items():
+        test, rule = _type_rule(default, key)
+        if not test(doc[key]):
+            raise ConfigError(f"{path}.{key}: must be {rule}, got {doc[key]!r}")
+
+
+def _increasing(radii) -> bool:
+    """Nonempty, positive and strictly increasing."""
+    return bool(radii) and radii[0] > 0.0 and all(b > a for a, b in zip(radii, radii[1:]))
+
+
+def _check_experiment(experiment: str, p: dict, dimension: int,
+                      fractional: FractionalParams) -> None:
+    """The preconditions of one experiment's run, on its typed options."""
+    def need(ok, where, why):
         if not ok:
-            raise ConfigError(f"{path}.{key}: must be {rule}, got {v!r}")
+            raise ConfigError(f"{where}: {why}")
+
+    radii = p.get("radii")
+    if experiment == "comparison":
+        need(p["bound"] is not None, "experiment_params.bound",
+             "required for comparison runs")
+    elif experiment == "remark-r":
+        need(abs(fractional.sigma - 2.0 * fractional.s) <= 1e-12, "fractional",
+             "remark-r requires sigma = 2 s")
+    elif experiment == "cone2d":
+        need(dimension == 2, "grid.dimension", "cone2d needs a 2D base grid")
+        need(len(radii) >= 2 and _increasing(radii), "experiment_params.radii",
+             f"cone2d needs at least two positive, strictly increasing radii, got {radii}")
+    elif experiment in ("weiss-scan", "blowup"):
+        need(radii is None or _increasing(radii), "experiment_params.radii",
+             f"must be nonempty, positive and strictly increasing, got {radii}")
+        need(experiment == "weiss-scan" or p["scales"], "experiment_params.scales",
+             "must not be empty")
+    elif experiment == "dyda":
+        cells, window = p["cells"], p["window"]
+        need(cells and min(cells) >= 2, "experiment_params.cells",
+             f"must be integers >= 2, got {cells}")
+        need(len(window) == 2 and window[0] < window[1], "experiment_params.window",
+             f"must be [lo, hi] with lo < hi, got {window}")
+    elif experiment == "energy-bound":
+        need(dimension == 1, "grid.dimension", "energy-bound runs are 1D")
+        need(p["instances"] >= 1, "experiment_params.instances", "must be at least 1")
 
 
 def _build_datum(spec: dict, dimension: int) -> ExteriorDatum:
@@ -233,33 +285,36 @@ def _build_datum(spec: dict, dimension: int) -> ExteriorDatum:
 
 
 def validate_config(source) -> ExperimentConfig:
-    """Parse, range-check and default-fill a config (path, dict or file)."""
+    """Parse, default-fill and check a config (path, dict or file): each
+    section with schema defaults, the experiment's options included, refuses
+    unknown keys and checks types; range checks and the experiment's
+    preconditions follow."""
     if isinstance(source, dict):
         raw = dict(source)
     else:
         with open(source) as fh:
             raw = json.load(fh)
-    _reject_unknown(raw, _TOP_KEYS, "top level")
+    _reject_unknown(raw, set(CONFIG_SCHEMA), "top level")
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"experiment: unknown name {experiment!r}; valid names: "
             + ", ".join(EXPERIMENTS)
         )
-    grid_in = _section(raw, "grid", {})
-    _reject_unknown(grid_in, _GRID_KEYS, "grid")
-    grid_doc = dict(CONFIG_SCHEMA["grid"])
-    grid_doc.update(grid_in)
-    _check_types(grid_doc, "grid")
-    frac_in = _section(raw, "fractional", {})
-    _reject_unknown(frac_in, _FRACTIONAL_KEYS, "fractional")
-    frac_doc = dict(CONFIG_SCHEMA["fractional"])
-    frac_doc.update(frac_in)
-    _check_types(frac_doc, "fractional")
+    docs = {}
+    for key in ("grid", "fractional", "solver", "extension", "experiment_params"):
+        defaults = CONFIG_SCHEMA[key]
+        if key == "experiment_params":
+            defaults = defaults[experiment]
+        given = _section(raw, key, {})
+        _reject_unknown(given, set(defaults), key)
+        docs[key] = {**defaults, **given}
+        _check_types(docs[key], defaults, key)
     try:
-        grid_spec = GridSpec(**grid_doc)
+        grid_spec = GridSpec(**docs["grid"])
     except InvalidSpecError as exc:
         raise ConfigError(f"grid: {exc}") from exc
+    frac_doc = docs["fractional"]
     for key, lo, hi in (("s", 0.0, 1.0), ("sigma", 0.0, 1.0)):
         v = frac_doc[key]
         if not (lo < v < hi):
@@ -269,11 +324,6 @@ def validate_config(source) -> ExperimentConfig:
     fractional = FractionalParams(**frac_doc)
     datum_doc = _section(raw, "datum", {"kind": "halfspace"})
     datum = _build_datum(datum_doc, grid_spec.dimension)
-    solver_in = _section(raw, "solver", {})
-    _reject_unknown(solver_in, _SOLVER_KEYS, "solver")
-    solver_doc = dict(CONFIG_SCHEMA["solver"])
-    solver_doc.update(solver_in)
-    _check_types(solver_doc, "solver")
     seed = raw.get("seed", CONFIG_SCHEMA["seed"])
     if not numerics.is_integer(seed):
         raise ConfigError(f"seed: must be an integer, got {seed!r}")
@@ -285,37 +335,25 @@ def validate_config(source) -> ExperimentConfig:
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: must be a string, got {output_dir!r}")
     try:
-        solver = SolverParams(seed=seed, **solver_doc)
+        solver = SolverParams(seed=seed, **docs["solver"])
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
-    ext_in = _section(raw, "extension", {})
-    _reject_unknown(ext_in, _EXTENSION_KEYS, "extension")
-    ext_doc = dict(CONFIG_SCHEMA["extension"])
-    ext_doc.update(ext_in)
     try:
-        check_half_grid_options(**ext_doc)
+        check_half_grid_options(**docs["extension"])
     except InvalidSpecError as exc:
         raise ConfigError(f"extension.{exc}") from exc
-    params = _section(raw, "experiment_params", {})
-    echo = {
-        "experiment": experiment,
-        "grid": grid_doc,
-        "fractional": frac_doc,
-        "datum": datum_doc,
-        "solver": solver_doc,
-        "extension": ext_doc,
-        "experiment_params": params,
-        "output_dir": output_dir,
-        "seed": seed,
-    }
+    _check_experiment(experiment, docs["experiment_params"], grid_spec.dimension,
+                      fractional)
+    echo = {"experiment": experiment, **docs, "datum": datum_doc,
+            "output_dir": output_dir, "seed": seed}
     return ExperimentConfig(
         experiment=experiment,
         grid_spec=grid_spec,
         fractional=fractional,
         datum=datum,
         solver=solver,
-        extension=ext_doc,
-        experiment_params=params,
+        extension=docs["extension"],
+        experiment_params=docs["experiment_params"],
         output_dir=output_dir,
         seed=seed,
         threads=threads,
@@ -412,8 +450,7 @@ def _run_minimize(cfg, run_dir):
 
 def _run_oracle(cfg, run_dir):
     g, tg, tp = _tables(cfg)
-    n_max = int(cfg.experiment_params.get("n_max", 12))
-    oracle = brute_force_minimize(g, cfg.datum, tg, tp, cfg.solver, n_max=n_max)
+    oracle = brute_force_minimize(g, cfg.datum, tg, tp, cfg.solver)
     pair0 = make_pair(*sample_datum(cfg.datum, g))
     report = alternate_minimize(pair0, cfg.solver, tg, tp)
     e_alt = report.trace[-1].total
@@ -436,10 +473,7 @@ def _run_oracle(cfg, run_dir):
 
 
 def _run_comparison(cfg, run_dir):
-    if "bound" not in cfg.experiment_params:
-        raise ConfigError("experiment_params.bound: required for comparison runs")
-    bound = float(cfg.experiment_params["bound"])
-    side = cfg.experiment_params.get("side", "above")
+    bound, side = cfg.experiment_params["bound"], cfg.experiment_params["side"]
     g, _, report, final = _minimize(cfg)
     u_in = report.pair.u.values[g.in_omega]
     scalars = {
@@ -460,9 +494,6 @@ def _run_comparison(cfg, run_dir):
 
 
 def _run_remark_r(cfg, run_dir):
-    if abs(cfg.fractional.sigma - 2.0 * cfg.fractional.s) > 1e-12:
-        raise ConfigError("fractional: remark-r requires sigma = 2 s")
-    threshold = float(cfg.experiment_params.get("value_threshold", 0.5))
     g, _, report, final = _minimize(cfg)
     u_in = report.pair.u.values[g.in_omega]
     e_in = report.pair.phases.indicator[g.in_omega]
@@ -476,7 +507,7 @@ def _run_remark_r(cfg, run_dir):
     }
     verdicts = {
         "both_phases_nonempty": both,
-        "not_pure_indicator": both and min_abs <= threshold,
+        "not_pure_indicator": both and min_abs <= 0.5,
     }
     path = os.path.join(run_dir, "solution.csv")
     _write_csv(path, ["x", "u", "phase"],
@@ -486,11 +517,10 @@ def _run_remark_r(cfg, run_dir):
 
 
 def _run_plateau(cfg, run_dir):
-    factor = float(cfg.experiment_params.get("residual_factor", 10.0))
     g, tg, report, final = _minimize(cfg)
     pair = report.pair
     u_in = pair.u.values[g.in_omega]
-    delta = _zero_threshold(cfg.solver, u_in)
+    delta = _zero_threshold(u_in)
     zero_cells = np.flatnonzero(g.in_omega & (np.abs(pair.u.values) <= delta))
     h_n = g.h**g.dimension
     kkt_bound = max(report.qp_kkt, cfg.solver.qp_tolerance) / (2.0 * h_n)
@@ -500,7 +530,7 @@ def _run_plateau(cfg, run_dir):
     single_and_bad = (
         zero_cells.size == 1
         and residual is not None
-        and abs(residual) > factor * kkt_bound
+        and abs(residual) > 10.0 * kkt_bound
     )
     scalars = {
         "zero_cells": int(zero_cells.size),
@@ -518,14 +548,6 @@ def _run_plateau(cfg, run_dir):
     return scalars, verdicts, [path]
 
 
-def _weiss_radii(cfg, grid):
-    radii = cfg.experiment_params.get("radii")
-    if radii is None:
-        r_max = 0.95 * grid.spec.domain_radius
-        radii = np.linspace(0.25 * r_max / 0.95, r_max, 9)
-    return np.asarray([float(r) for r in radii])
-
-
 def _run_weiss_scan(cfg, run_dir):
     synthetic = isinstance(cfg.datum.func, ConeF)
     g = build_grid(cfg.grid_spec)
@@ -536,11 +558,13 @@ def _run_weiss_scan(cfg, run_dir):
         report = alternate_minimize(pair, cfg.solver, tg, tp)
         pair, kkt = report.pair, report.qp_kkt
     hg = _half_grid(cfg, g)
-    radii = _weiss_radii(cfg, g)
-    shell_cells = float(cfg.experiment_params.get("shell_cells", 3.0))
-    prof = weiss_profile(pair, radii, cfg.fractional, hg, shell_cells=shell_cells)
+    radii = cfg.experiment_params["radii"]
+    if radii is None:
+        r_max = 0.95 * g.spec.domain_radius
+        radii = np.linspace(0.25 * r_max / 0.95, r_max, 9)
+    prof = weiss_profile(pair, radii, cfg.fractional, hg)
     scale = float(np.abs(prof.phi).max())
-    slack = float(cfg.experiment_params.get("monotone_slack_rel", 1e-3)) * scale
+    slack = 1e-3 * scale
     monotone = bool(np.all(np.diff(prof.phi) >= -slack))
     spread = float((prof.phi.max() - prof.phi.min()) / scale) if scale else 0.0
     scalars = {
@@ -553,8 +577,7 @@ def _run_weiss_scan(cfg, run_dir):
     }
     verdicts = {"phi_monotone": monotone}
     if synthetic:
-        tol = float(cfg.experiment_params.get("constancy_tol", 0.02))
-        verdicts["phi_constant"] = spread <= tol
+        verdicts["phi_constant"] = spread <= 0.02
     path = os.path.join(run_dir, "profile.csv")
     _write_csv(path, ["r", "G", "H", "Phi"],
                [(float(r), float(gv), float(hv), float(pv)) for r, gv, hv, pv in
@@ -565,9 +588,8 @@ def _run_weiss_scan(cfg, run_dir):
 def _run_blowup(cfg, run_dir):
     g = build_grid(cfg.grid_spec)
     pair = make_pair(*sample_datum(cfg.datum, g))
-    scales = [int(k) for k in cfg.experiment_params.get("scales", [1, 2])]
-    ts = np.asarray(cfg.experiment_params.get("radii", [0.5, 0.75, 1.0]), dtype=float)
-    tol = float(cfg.experiment_params.get("identity_tol", 1e-10))
+    scales = cfg.experiment_params["scales"]
+    ts = np.asarray(cfg.experiment_params["radii"], dtype=float)
     levels = cfg.extension["levels"]
     if levels is None:
         z1 = cfg.extension["z_first"] or 0.5 * g.h
@@ -593,35 +615,27 @@ def _run_blowup(cfg, run_dir):
         "identity_max_rel_err": worst,
         "phi_at_unit": [float(v) for v in base.phi],
     }
-    verdicts = {"scaling_identity": worst <= tol}
+    verdicts = {"scaling_identity": worst <= 1e-10}
     path = os.path.join(run_dir, "blowup.csv")
     _write_csv(path, ["k", "r", "t", "phi_rescaled", "phi_original"], rows)
     return scalars, verdicts, [path]
 
 
 def _run_cone2d(cfg, run_dir):
-    if cfg.grid_spec.dimension != 2:
-        raise ConfigError("grid.dimension: cone2d needs a 2D base grid")
-    radii = [float(r) for r in cfg.experiment_params.get("radii", [4.0, 8.0, 16.0])]
-    if len(radii) < 2 or radii[0] <= 0.0 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ConfigError("experiment_params.radii: cone2d needs at least two positive, "
-                          f"strictly increasing radii, got {radii}")
+    radii = cfg.experiment_params["radii"]
     g = build_grid(cfg.grid_spec)
-    normal = cfg.experiment_params.get("normal", [1.0, 0.0])
-    set_spec = HalfspaceSet(tuple(float(v) for v in normal), 0.0)
+    set_spec = HalfspaceSet((1.0, 0.0), 0.0)
     datum = ExteriorDatum(ConstantF(0.0), set_spec)
     u = DiscreteFunction(g, np.zeros(g.n_cells), datum)
     phases = PhaseSet(g, set_spec.membership(g.centers), datum)
     pair = make_pair(u, phases)
-    slack = float(cfg.experiment_params.get("decay_slack", 0.6))
-    pos_tol = float(cfg.experiment_params.get("positivity_tol", 1e-8))
     hg = _half_grid(cfg, g)
     defects = cone_defect(pair, radii, hg, cfg.fractional)
     rates = [
         math.log2(abs(d2) / abs(d1)) if d1 != 0.0 else float("nan")
         for d1, d2 in zip(defects[:-1], defects[1:])
     ]
-    bound = -cfg.fractional.sigma + slack
+    bound = -cfg.fractional.sigma + 0.6
     scalars = {
         "radii": radii,
         "defects": [float(d) for d in defects],
@@ -629,7 +643,7 @@ def _run_cone2d(cfg, run_dir):
         "rate_bound": bound,
     }
     verdicts = {
-        "defect_positive": all(d > -pos_tol for d in defects),
+        "defect_positive": all(d > -1e-8 for d in defects),
         "defect_decay": all(r <= bound for r in rates),
     }
     path = os.path.join(run_dir, "defect.csv")
@@ -638,9 +652,7 @@ def _run_cone2d(cfg, run_dir):
 
 
 def _run_dyda(cfg, run_dir):
-    cells = [int(m) for m in cfg.experiment_params.get("cells", [64, 128, 256])]
-    window = cfg.experiment_params.get("window", [0.25, 0.75])
-    max_final = float(cfg.experiment_params.get("max_final", 0.05))
+    cells, window = cfg.experiment_params["cells"], cfg.experiment_params["window"]
     s = cfg.fractional.s
     datum = cone_datum(s, (1.0, 0.0))
     rows, maxima = [], []
@@ -659,7 +671,7 @@ def _run_dyda(cfg, run_dir):
     scalars = {"cells": cells, "max_residuals": maxima}
     verdicts = {
         "residual_strictly_decreasing": decreasing,
-        "finest_below_bound": maxima[-1] <= max_final,
+        "finest_below_bound": maxima[-1] <= 0.05,
     }
     path = os.path.join(run_dir, "residuals.csv")
     _write_csv(path, ["m", "h", "max_residual"], rows)
@@ -671,8 +683,6 @@ def _weighted_l2(u: DiscreteFunction, s: float) -> float:
     from scipy.integrate import quad
 
     g = u.grid
-    if g.dimension != 1:
-        raise ConfigError("energy-bound runs are 1D")
     w = 1.0 / (1.0 + np.abs(g.centers[:, 0]) ** (1.0 + 2.0 * s))
     box = float(np.sum(u.values**2 * w) * g.h)
     L = g.spec.half_width
@@ -688,9 +698,8 @@ def _weighted_l2(u: DiscreteFunction, s: float) -> float:
 
 
 def _run_energy_bound(cfg, run_dir):
-    instances = int(cfg.experiment_params.get("instances", 5))
-    lo = float(cfg.experiment_params.get("low", -1.0))
-    hi = float(cfg.experiment_params.get("high", 1.0))
+    p = cfg.experiment_params
+    instances, lo, hi = p["instances"], p["low"], p["high"]
     g, tg, tp = _tables(cfg)
     eval_mask = np.linalg.norm(g.centers, axis=1) < min(
         1.0, g.spec.domain_radius
@@ -859,9 +868,6 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run_experiment(config)
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
     except NonConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return 3

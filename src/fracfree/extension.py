@@ -628,12 +628,13 @@ def origin_on_free_boundary(phases: PhaseSet) -> bool:
 
 
 def weiss_profile(pair: AdmissiblePair, radii, params: FractionalParams,
-                  hg: HalfGrid, shell_cells: float = 3.0) -> WeissProfile:
+                  hg: HalfGrid) -> WeissProfile:
     """Monotonicity profile Phi(r) = G(r) - H(r) of an admissible pair.
 
     G(r) = r^(sigma-n) (D_s(r) + c_ratio D_sigma(r)) with D the weighted
     Dirichlet energies of the two extensions; H is the boundary correction
-    (s - sigma/2) r^(sigma-n-1) times the shell integral of z^(1-2s) ubar^2.
+    (s - sigma/2) r^(sigma-n-1) times the shell integral of z^(1-2s) ubar^2,
+    averaged over a shell three cells wide.
     """
     if not origin_on_free_boundary(pair.phases):
         raise FreeBoundaryError(
@@ -649,7 +650,7 @@ def weiss_profile(pair: AdmissiblePair, radii, params: FractionalParams,
         d_s = weighted_dirichlet(ubar, r, frac=frac)
         d_sig = weighted_dirichlet(uset, r, frac=frac)
         g_vals.append(r ** (params.sigma - n) * (d_s + params.c_ratio * d_sig))
-        shell = shell_average(ubar, r, 1.0 - 2.0 * params.s, shell_cells)
+        shell = shell_average(ubar, r, 1.0 - 2.0 * params.s, 3.0)
         h_vals.append(
             (params.s - 0.5 * params.sigma) * r ** (params.sigma - n - 1.0) * shell
         )

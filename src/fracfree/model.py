@@ -324,12 +324,6 @@ class ExteriorDatum:
     func: object
     set_spec: object
 
-    def sign_compatible(self, pts: np.ndarray, tol: float = DEFAULT_SIGN_TOL) -> bool:
-        vals = self.func.evaluate(pts)
-        signs = self.set_spec.membership(pts)
-        bad = ((signs > 0) & (vals < -tol)) | ((signs < 0) & (vals > tol))
-        return not bool(bad.any())
-
     def rescaled(self, r: float, amp: float) -> "ExteriorDatum":
         return ExteriorDatum(self.func.rescaled(r, amp), self.set_spec.rescaled(r))
 

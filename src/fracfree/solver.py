@@ -32,22 +32,23 @@ from .model import (
 )
 from .quadrature import KernelTable
 
+# an alternation stops once a phase step lowers the energy by no more
+_ENERGY_STALL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverParams:
     max_outer_iters: int = 30
     qp_tolerance: float = 1e-9
-    zero_threshold: float | None = None     # default 1e-7 * value scale
     multistart_random: int = 5
-    energy_stall_tolerance: float = 1e-10
     seed: int = 0
     qp_max_iters: int = 5000
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-        if self.qp_tolerance <= 0 or self.energy_stall_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.qp_tolerance <= 0:
+            raise ValueError("qp_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -256,9 +257,9 @@ def solve_u_given_phase(phases: PhaseSet, datum: ExteriorDatum,
     return u, result
 
 
-def _zero_threshold(params: SolverParams, u_vals: np.ndarray) -> float:
-    if params.zero_threshold is not None:
-        return params.zero_threshold
+def _zero_threshold(u_vals: np.ndarray) -> float:
+    """|u| at or below which a ball cell is in the zero set: 1e-7 of the
+    value scale, or 1e-7 if the values are smaller than one."""
     scale = float(np.max(np.abs(u_vals))) if u_vals.size else 1.0
     return 1e-7 * max(1.0, scale)
 
@@ -303,7 +304,6 @@ def _min_cut(w: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def update_phase(u: DiscreteFunction, phases: PhaseSet, table: KernelTable,
-                 params: SolverParams,
                  form: PerimeterForm | None = None) -> PhaseSet:
     """Force signs where |u| clears the threshold, then give the zero set Z
     its least-perimeter signs: with the other signs fixed and e = 2x - 1,
@@ -314,7 +314,7 @@ def update_phase(u: DiscreteFunction, phases: PhaseSet, table: KernelTable,
     grid = u.grid
     inside = grid.in_omega
     form = PerimeterForm(phases, table) if form is None else form
-    delta = _zero_threshold(params, u.values[inside])
+    delta = _zero_threshold(u.values[inside])
     e_in = phases.indicator[inside].astype(np.int8).copy()
     uu = u.values[inside]
     e_in[uu > delta] = 1
@@ -376,7 +376,7 @@ def alternate_minimize(init: AdmissiblePair, params: SolverParams,
         termination = "max_iters"
         outer = 0
         for outer in range(1, params.max_outer_iters + 1):
-            new_phases = update_phase(u, phases, table_perimeter, params, form=form)
+            new_phases = update_phase(u, phases, table_perimeter, form=form)
             if np.array_equal(new_phases.indicator, phases.indicator):
                 termination = "stalled"
                 break
@@ -388,7 +388,7 @@ def alternate_minimize(init: AdmissiblePair, params: SolverParams,
             kkt = max(kkt, qp_res.kkt_residual)
             trace.append(_breakdown(u, phases, qp, form))
             new_total = trace[-1].total
-            if total - new_total <= params.energy_stall_tolerance:
+            if total - new_total <= _ENERGY_STALL_TOL:
                 total = min(total, new_total)
                 termination = "stalled"
                 break
@@ -398,7 +398,7 @@ def alternate_minimize(init: AdmissiblePair, params: SolverParams,
             best = (total, u, phases, trace, termination, outer, kkt)
     total, u, phases, trace, termination, outer, kkt = best
     pair = AdmissiblePair(u, phases)
-    slack = max(params.energy_stall_tolerance, 1e-6 * (1.0 + abs(total)))
+    slack = 1e-6 * (1.0 + abs(total))
     return SolveReport(pair=pair, trace=trace, termination=termination,
                        outer_iterations=outer, qp_kkt=kkt,
                        start_energies=start_energies, trace_slack=slack)

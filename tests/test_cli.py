@@ -17,6 +17,9 @@ from fracfree.cli import (
 )
 from fracfree.solver import SolverParams
 
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "docs", "examples")
+
 
 def minimal_config(outdir, **overrides):
     cfg = {
@@ -42,6 +45,20 @@ def test_validate_fills_defaults(tmp_path):
     assert cfg.echo["fractional"]["c_ratio"] == 1.0
     assert cfg.echo["extension"]["ratio"] == 1.15
     assert cfg.seed == 0
+    # an experiment's options are filled too, and echoed as its runner reads them
+    cmp = validate_config(minimal_config(tmp_path, experiment="comparison",
+                                         experiment_params={"bound": 1.0}))
+    assert cmp.echo["experiment_params"] == cmp.experiment_params == {
+        "bound": 1.0, "side": "above"}
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(EXAMPLES)))
+def test_example_configs_validate_and_echo_their_options(name):
+    with open(os.path.join(EXAMPLES, name)) as fh:
+        raw = json.load(fh)
+    cfg = validate_config(raw)
+    defaults = CONFIG_SCHEMA["experiment_params"][raw["experiment"]]
+    assert cfg.echo["experiment_params"] == {**defaults, **raw.get("experiment_params", {})}
 
 
 def test_solver_schema_defaults_are_the_solver_params_defaults(tmp_path):
@@ -95,6 +112,10 @@ def test_run_writes_manifest_and_echo(tmp_path):
     echo = json.load(open(os.path.join(report.run_dir, "config.json")))
     assert echo["experiment"] == "energy"
     assert echo["solver"]["qp_tolerance"] == CONFIG_SCHEMA["solver"]["qp_tolerance"]
+    schema = json.load(open(os.path.join(report.run_dir, "schema.json")))
+    assert schema["experiment_params"] == CONFIG_SCHEMA["experiment_params"]
+    assert schema["experiment_params"]["dyda"] == {"cells": [64, 128, 256],
+                                                   "window": [0.25, 0.75]}
 
 
 def test_worker_cap_is_scoped_to_the_run(tmp_path):
@@ -226,6 +247,7 @@ def test_main_exit_code_2_on_invalid_extension(tmp_path, capsys, key, value):
     ("threads", -3, "threads: "),
     ("threads", 0, "threads: "),
     ("cache_dir", "cache", "unknown keys under top level: cache_dir"),
+    ("solver.seed", 3, "unknown keys under solver: seed"),
 ])
 def test_main_exit_code_2_on_mistyped_config(tmp_path, capsys, path, value, named):
     # a value of the wrong type, a worker count below one and a key that
@@ -253,6 +275,40 @@ def test_main_exit_code_2_on_invalid_cone2d_radii(tmp_path, capsys, radii):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: invalid config: experiment_params.radii: ")
+
+
+@pytest.mark.parametrize("experiment, change, named", [
+    ("comparison", {"experiment_params": {"bound": "x"}}, "experiment_params.bound: "),
+    ("comparison", {"experiment_params": {"bound": 0.0, "side": "Above"}},
+     "experiment_params.side: "),
+    ("comparison", {"experiment_params": {"bound": 0.0, "sidee": "below"}},
+     "unknown keys under experiment_params: sidee"),
+    ("cone2d", {"experiment_params": {"decay_slack": 0.5}},
+     "unknown keys under experiment_params: decay_slack"),
+    ("energy-bound", {"grid": {"dimension": 2}}, "grid.dimension: "),
+    ("weiss-scan", {"experiment_params": {"radii": [0.5, 0.5]}},
+     "experiment_params.radii: "),
+    ("dyda", {"experiment_params": {"window": [0.75, 0.25]}},
+     "experiment_params.window: "),
+    ("blowup", {"experiment_params": {"scales": []}}, "experiment_params.scales: "),
+    ("energy-bound", {"experiment_params": {"instances": 0}},
+     "experiment_params.instances: "),
+])
+def test_main_exit_code_2_on_invalid_experiment_params(tmp_path, capsys, experiment,
+                                                       change, named):
+    # each of these ran to exit 0 (a silent default, the wrong branch or a
+    # vacuous verdict) or died with exit 4 inside its runner
+    cfg = minimal_config(tmp_path / "runs", experiment=experiment,
+                         experiment_params=change.get("experiment_params", {}))
+    if experiment == "cone2d":
+        cfg["grid"].update(dimension=2, cells_per_side=8)
+        cfg["datum"]["normal"] = [1.0, 0.0]
+    cfg["grid"].update(change.get("grid", {}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([experiment, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid config: " + named)
 
 
 def test_nonconvergence_writes_partial_report(tmp_path, monkeypatch):

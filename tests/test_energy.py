@@ -198,13 +198,14 @@ def test_masked_energies_match_explicit_pair_loops(setup_1d):
     vals[g.in_omega] = ind[g.in_omega] * rng.uniform(0.0, 1.0, int(g.in_omega.sum()))
     u = DiscreteFunction(g, vals, datum)
     v, e = u.values, phases.indicator
+    dense = table.dense_matrix()
     t0, m1, m2 = table.function_tails(datum.func)
     tp, tn = table.set_tails(datum.set_spec)
     gag, per = 0.0, 0.0
     for i in range(g.n_cells):
         for j in range(g.n_cells):
             if i != j and (mask[i] or mask[j]):
-                w = table.pair_weight(i, j)
+                w = dense[i, j]
                 gag += (v[i] - v[j]) ** 2 * w
                 per += 0.5 * w * (e[i] != e[j])
     for i in np.flatnonzero(mask):

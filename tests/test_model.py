@@ -186,12 +186,14 @@ def test_phase_set_refuses_one_entry_other_than_plus_or_minus_one(bad):
 def test_sign_compatibility_checkable_by_sampling():
     from fracfree.model import ConstantF, ExteriorDatum, HalfspaceSet
 
-    good = halfspace_datum([1.0], 0.0)
-    pts = np.linspace(-3.0, 3.0, 41).reshape(-1, 1)
-    assert good.sign_compatible(pts)
-    # negative constant paired with the full space is incompatible
+    g = build_grid(GridSpec(1, 3.0, 40, 64.0, 3.0))
+    make_pair(*sample_datum(halfspace_datum([1.0], 0.0), g))
+    # a negative constant paired with the half-line {x > 0} is incompatible
+    # on every cell of that half-line
     bad = ExteriorDatum(ConstantF(-1.0), HalfspaceSet((1.0,), 0.0))
-    assert not bad.sign_compatible(pts)
+    with pytest.raises(AdmissibilityError) as info:
+        make_pair(*sample_datum(bad, g))
+    assert info.value.cells == np.flatnonzero(g.centers[:, 0] > 0.0).tolist()
 
 
 def test_tabulated_datum_missing_coverage_errors():

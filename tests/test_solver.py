@@ -109,7 +109,7 @@ def test_update_phase_forced_cells_only():
     g, tg, tp = small_setup()
     datum = halfspace_datum([1.0], 0.0)
     u, phases = sample_datum(datum, g)
-    out = update_phase(u, phases, tp, PARAMS)
+    out = update_phase(u, phases, tp)
     # u = +-1 has an empty zero set: phase follows sign of u
     assert np.array_equal(
         out.indicator[g.in_omega],
@@ -126,7 +126,7 @@ def test_update_phase_perimeter_never_increases():
     ind[g.in_omega] = rng.choice([-1, 1], size=int(g.in_omega.sum()))
     scrambled = phases.with_indicator(ind)
     u0 = DiscreteFunction(g, np.zeros(g.n_cells), datum)
-    out = update_phase(u0, scrambled, tp, PARAMS)
+    out = update_phase(u0, scrambled, tp)
     assert frac_perimeter(out, tp) <= frac_perimeter(scrambled, tp) + 1e-12
 
 
@@ -137,7 +137,7 @@ def test_update_phase_exhaustive_finds_minimal_pattern():
     datum = halfspace_datum([1.0], 0.0)
     _, phases = sample_datum(datum, g)
     u0 = DiscreteFunction(g, np.zeros(g.n_cells), datum)
-    out = update_phase(u0, phases, tp, PARAMS)
+    out = update_phase(u0, phases, tp)
     form = PerimeterForm(phases, tp)
     best = np.inf
     n = int(g.in_omega.sum())
@@ -411,7 +411,7 @@ def test_phase_update_reaches_the_enumeration_minimum_and_keeps_ties():
         incumbent[inside] = np.where(vals == 0.0, ind[inside], np.sign(vals))
         e_in = incumbent[inside]
         best = _enumeration_minimum(form, e_in, np.flatnonzero(vals == 0.0))
-        out = update_phase(u, start, tp, PARAMS, form=form)
+        out = update_phase(u, start, tp, form=form)
         value, before = form.value(out.indicator[inside]), form.value(e_in)
         assert abs(value - best) <= 1e-15 * max(1.0, abs(best)), trial
         assert value <= before, trial
@@ -433,7 +433,7 @@ def test_phase_update_reaches_the_enumeration_minimum_and_keeps_ties():
         ind = phases.indicator.copy()
         ind[inside] = [-1, 1] + [middle] * 10 + [-1, 1]
         assert abs(form.value(ind[inside]) - best) <= 1e-15 * best
-        out = update_phase(u, phases.with_indicator(ind), tp, PARAMS, form=form)
+        out = update_phase(u, phases.with_indicator(ind), tp, form=form)
         assert out.indicator.tobytes() == ind.tobytes(), middle
 
 
@@ -456,7 +456,7 @@ def test_phase_update_is_exact_on_16_cell_zero_sets(seed):
     full = np.zeros(g.n_cells)
     full[inside] = vals
     form = PerimeterForm(start, tp)
-    out = update_phase(DiscreteFunction(g, full, datum), start, tp, PARAMS, form=form)
+    out = update_phase(DiscreteFunction(g, full, datum), start, tp, form=form)
     e_in = np.where(vals > 0.0, 1, -1).astype(np.int8)
     e_in[zero_set] = ind[inside][zero_set]
     best = _enumeration_minimum(form, e_in, zero_set)
