@@ -206,14 +206,20 @@ def _increasing(radii) -> bool:
     return bool(radii) and radii[0] > 0.0 and all(b > a for a, b in zip(radii, radii[1:]))
 
 
-def _check_experiment(experiment: str, p: dict, dimension: int,
+def _window_cells(g, window) -> np.ndarray:
+    """The cells of a dyda grid whose center lies in the window."""
+    x = g.centers[:, 0]
+    return np.flatnonzero((x >= window[0]) & (x <= window[1]))
+
+
+def _check_experiment(experiment: str, p: dict, grid_spec: GridSpec,
                       fractional: FractionalParams) -> None:
     """The preconditions of one experiment's run, on its typed options."""
     def need(ok, where, why):
         if not ok:
             raise ConfigError(f"{where}: {why}")
 
-    radii = p.get("radii")
+    dimension, radii = grid_spec.dimension, p.get("radii")
     if experiment == "comparison":
         need(p["bound"] is not None, "experiment_params.bound",
              "required for comparison runs")
@@ -235,6 +241,13 @@ def _check_experiment(experiment: str, p: dict, dimension: int,
              f"must be integers >= 2, got {cells}")
         need(len(window) == 2 and window[0] < window[1], "experiment_params.window",
              f"must be [lo, hi] with lo < hi, got {window}")
+        for m in cells:
+            g = build_grid(replace(grid_spec, cells_per_side=m))
+            sel = _window_cells(g, window)
+            need(sel.size, "experiment_params.window",
+                 f"{window} holds no cell center of the {m}-cell grid")
+            need(g.strict_interior[sel].all(), "experiment_params.window",
+                 f"{window} reaches a cell touching the box boundary of the {m}-cell grid")
     elif experiment == "energy-bound":
         need(dimension == 1, "grid.dimension", "energy-bound runs are 1D")
         need(p["instances"] >= 1, "experiment_params.instances", "must be at least 1")
@@ -342,8 +355,7 @@ def validate_config(source) -> ExperimentConfig:
         check_half_grid_options(**docs["extension"])
     except InvalidSpecError as exc:
         raise ConfigError(f"extension.{exc}") from exc
-    _check_experiment(experiment, docs["experiment_params"], grid_spec.dimension,
-                      fractional)
+    _check_experiment(experiment, docs["experiment_params"], grid_spec, fractional)
     echo = {"experiment": experiment, **docs, "datum": datum_doc,
             "output_dir": output_dir, "seed": seed}
     return ExperimentConfig(
@@ -661,9 +673,7 @@ def _run_dyda(cfg, run_dir):
         g = build_grid(spec)
         table = assemble_table(g, 2.0 * s)
         u, _ = sample_datum(datum, g)
-        x = g.centers[:, 0]
-        sel = np.flatnonzero((x >= window[0]) & (x <= window[1]))
-        residuals = [abs(frac_laplacian(u, int(c), table)) for c in sel]
+        residuals = [abs(frac_laplacian(u, int(c), table)) for c in _window_cells(g, window)]
         worst = float(max(residuals))
         maxima.append(worst)
         rows.append((m, g.h, worst))

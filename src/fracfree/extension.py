@@ -4,21 +4,23 @@ A function on R^n extends to the half space z > 0 by convolution with the
 order-beta Poisson kernel z^beta / (|x|^2 + z^2)^((n+beta)/2); a phase set
 extends through its +-1 indicator. Discrete kernel rows are normalized to
 unit mass, so constants extend exactly and no dimensional constant is
-carried. The datum beyond the padded box enters as the constant pieces of
-``quadrature.datum_far_pieces``, the same decomposition the energy tails
-use; only a homogeneous profile in 1D is sampled on stretch blocks
-instead. The padded lattice, its trace and the row evaluator take
-(P, n) points for n = 1 and 2 alike. In 1D every row is a sum of exact
-interval masses, differences of the kernel CDF at the cell edges. In 2D
-the rows at lattice nodes are FFT convolutions by ``numpy.fft`` (the
-midpoint kernel depends only on the index offset) and rows at
-off-lattice nodes, each at its own height, are one fused contraction of a
-separable distance table with the trace, ones and the half-plane
-indicators; both share one far-field step and are unit-mass.
-That step is exact when every term of the pieces is the whole plane or a
-half-plane; otherwise each term's mass beyond the padded box comes from
-the split-arc point rule of ``quadrature`` (exact radial mass per ray,
-Gauss-Legendre in the direction, order doubled until FAR_MASS_TOL is met).
+carried. The datum beyond the padded box enters as the (value, region)
+pieces of ``quadrature.datum_far_pieces``, the same decomposition the
+energy tails use; a homogeneous profile in 1D enters instead as stretch
+blocks, one interval piece each. The padded lattice, its trace and the
+row evaluators take (P, n) points for n = 1 and 2 alike. Rows at lattice
+nodes are one FFT convolution per level by ``numpy.fft`` in both
+dimensions, since a cell's kernel mass depends only on its index offset:
+exactly in 1D (kernel CDF differences at the 2nx offset edges), as the
+midpoint mass in 2D. Rows at off-lattice nodes, each at its own height,
+stay direct: CDF differences at the cell edges in 1D, one fused
+contraction of a separable distance table with the trace, ones and the
+half-plane indicators in 2D. All rows share one unit-mass far-field
+step: exact interval masses in 1D; in 2D exact when every term of the
+pieces is the whole plane or a half-plane, otherwise each term's mass
+beyond the padded box comes from the split-arc point rule of
+``quadrature`` (exact radial mass per ray, Gauss-Legendre in the
+direction, order doubled until FAR_MASS_TOL is met).
 On top of the extensions live the weighted Dirichlet energy over
 half-balls, the radial monotonicity profile (Weiss-type functional), and
 the translation-defect probe for homogeneous pairs. The probe pulls back
@@ -48,7 +50,13 @@ from .model import (
     PhaseSet,
 )
 from .numerics import is_integer, is_number, ordered_sum, smoothstep_quintic
-from .quadrature import _HalfplaneTerm, _point_term_mass, datum_far_pieces
+from .quadrature import (
+    Region2D,
+    _HalfplaneTerm,
+    _point_term_mass,
+    datum_far_pieces,
+    interval_region,
+)
 
 STRETCH_RATIO = 1.10       # geometric sampling of unbounded smooth data
 FAR_FACTOR = 1.0e5         # sampling reach in units of the top level
@@ -151,15 +159,6 @@ def _std_mass(v, beta: float):
     return np.where(near, 0.5 + np.sign(v) * half, np.where(v > 0.0, 1.0 - half, half))
 
 
-def _interval_masses(x, z, lo, hi, beta: float):
-    """Kernel mass of intervals [lo, hi] seen from points x at heights z."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    vlo = (lo[None, :] - x[:, None]) / z[:, None]
-    vhi = (hi[None, :] - x[:, None]) / z[:, None]
-    return _std_mass(vhi, beta) - _std_mass(vlo, beta)
-
-
 # ---------------------------------------------------------------------------
 # extended fields
 
@@ -196,28 +195,22 @@ class ExtendedField:
 
 
 # ---------------------------------------------------------------------------
-# 1D extension
+# far field and rows
 
-def _far_pieces_1d(hg: HalfGrid, func_spec):
-    """Triples (lo, hi, value) describing the datum beyond the padded box:
-    the pieces of datum_far_pieces, or stretch blocks sampling a
-    homogeneous profile. The padding is the datum's own values, so its
+def _far_pieces(hg: HalfGrid, func_spec):
+    """The datum beyond the padded box as (value, region) pieces: those of
+    datum_far_pieces, or in 1D a homogeneous profile sampled on stretch
+    blocks, one interval each. The padding is the datum's own values, so its
     coverage is checked at the box, where the energy tails check it."""
-    lp = hg.padded_half_width
-    if not isinstance(func_spec, ConeF):
-        datum_far_pieces(func_spec, hg.grid.spec.half_width, 1)
-        return [(a, b, value) for value, region in datum_far_pieces(func_spec, lp, 1)
-                for a, b in region.pieces]
-    blocks = _stretch_blocks(lp, float(hg.z_array()[-1]))
-    mids = 0.5 * (blocks[:-1] + blocks[1:])
-    out = []
-    for side in (1.0, -1.0):
-        vals = func_spec.evaluate((side * mids)[:, None])
-        for k in range(mids.size):
-            lo = side * blocks[k] if side > 0 else -blocks[k + 1]
-            hi = side * blocks[k + 1] if side > 0 else -blocks[k]
-            out.append((lo, hi, vals[k]))
-    return out
+    n, lp = hg.grid.dimension, hg.padded_half_width
+    if n == 1 and isinstance(func_spec, ConeF):
+        blocks = _stretch_blocks(lp, float(hg.z_array()[-1]))
+        spans = [sorted((side * a, side * b)) for side in (1.0, -1.0)
+                 for a, b in zip(blocks[:-1], blocks[1:])]
+        vals = func_spec.evaluate(np.array([[0.5 * (lo + hi)] for lo, hi in spans]))
+        return [(v, interval_region(lo, hi)) for v, (lo, hi) in zip(vals, spans)]
+    datum_far_pieces(func_spec, hg.grid.spec.half_width, n)
+    return datum_far_pieces(func_spec, lp, n)
 
 
 def _stretch_blocks(lp: float, z_top: float) -> np.ndarray:
@@ -246,37 +239,28 @@ def _chunked(width: int, fill):
     return row
 
 
-def _make_row_1d(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
+def _make_row_1d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
     """Evaluator: row(points, z) of the 1D extension at any (P, 1) points,
-    each at its own height."""
+    each at its own height: CDF differences across the lattice cells, then
+    the far step of _normalized_rows. Used for off-lattice nodes; blocks
+    count the far intervals with the cell edges."""
     axis = hg.padded_axis
     h = hg.grid.h
     edges = np.concatenate([axis - 0.5 * h, [axis[-1] + 0.5 * h]])
-    pieces = _far_pieces_1d(hg, func_spec)
-    p_lo = np.array([p[0] for p in pieces])
-    p_hi = np.array([p[1] for p in pieces])
-    p_val = np.array([p[2] for p in pieces])
+    lp = hg.padded_half_width
 
     def fill(pts, z):
-        x = pts[:, 0]
-        w_in = np.diff(_std_mass((edges[None, :] - x[:, None]) / z[:, None], beta), axis=1)
-        num = w_in @ trace_vals
-        den = w_in.sum(axis=1)
-        if p_lo.size:
-            w_far = _interval_masses(x, z, p_lo, p_hi, beta)
-            num = num + w_far @ p_val
-            den = den + w_far.sum(axis=1)
-        return num / den
+        w_in = np.diff(_std_mass((edges - pts) / z[:, None], beta), axis=1)
+        sums = [w_in @ trace_vals, w_in.sum(axis=1)]
+        return _normalized_rows(pts, z, sums, [], pieces, lp, beta)
 
-    return _chunked(edges.size + p_lo.size, fill)
+    return _chunked(edges.size + sum(len(region.pieces) for _, region in pieces), fill)
 
-
-# ---------------------------------------------------------------------------
-# 2D extension
 
 def _pieces_terms(pieces):
-    """The distinct region terms of 2D far-field pieces, in order."""
-    return list(dict.fromkeys(term for _, region in pieces for _, term in region.terms))
+    """The distinct region terms of 2D far-field pieces, in order; none in 1D."""
+    return list(dict.fromkeys(term for _, region in pieces if isinstance(region, Region2D)
+                              for _, term in region.terms))
 
 
 def _region_sum(region, per_term):
@@ -285,8 +269,9 @@ def _region_sum(region, per_term):
 
 def _lattice_halfplanes(pieces):
     """The half-planes whose in-lattice kernel sums the far step reads: all
-    terms of the pieces when each is the whole plane or a half-plane, whose
-    total masses are closed-form; none when the point rule serves them."""
+    terms of 2D pieces when each is the whole plane or a half-plane, whose
+    total masses are closed-form; none when the point rule serves them, and
+    none in 1D, where the far masses are exact interval masses."""
     terms = _pieces_terms(pieces)
     if all(term is None or isinstance(term, _HalfplaneTerm) for term in terms):
         return [term for term in terms if term is not None]
@@ -323,13 +308,21 @@ def _normalized_rows(pts, z, sums, halfplanes, pieces, lp: float, beta: float):
     z is each point's height, or one for all.
 
     sums are the in-lattice kernel sums against the trace, against ones
-    and against the indicator of each of halfplanes. When those cover
-    every term of the pieces, a region's far mass is its closed-form total
-    (1 for the whole plane, the 1D marginal for a half-plane) minus its
-    in-lattice attribution, and the row mass is exactly one; otherwise
-    every term's far mass comes from the point rule.
+    and against the indicator of each of halfplanes. In 1D every piece is
+    a union of intervals, whose masses are exact CDF differences. In 2D,
+    when the half-plane sums cover every term of the pieces, a region's
+    far mass is its closed-form total (1 for the whole plane, the 1D
+    marginal for a half-plane) minus its in-lattice attribution, and the
+    row mass is exactly one; otherwise every term's far mass comes from
+    the point rule.
     """
     num = sums[0]
+    if pts.shape[1] == 1:
+        lo, hi, val = np.array([(a, b, value) for value, region in pieces
+                                for a, b in region.pieces]).reshape(-1, 3).T
+        x, zc = pts, np.reshape(z, (-1, 1))
+        w_far = _std_mass((hi - x) / zc, beta) - _std_mass((lo - x) / zc, beta)
+        return (num + w_far @ val) / (sums[1] + w_far.sum(axis=1))
     in_lattice = dict(zip([None] + halfplanes, sums[1:]))
     terms = _pieces_terms(pieces)
     if all(term in in_lattice for term in terms):
@@ -367,7 +360,7 @@ def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
 
     Midpoint sums over the lattice plus the far field of _normalized_rows.
     Used for off-lattice nodes; lattice nodes go through the FFT
-    convolution of _extend_2d. The sources are the padded lattice, so a
+    convolution of _extend. The sources are the padded lattice, so a
     node's squared distances are an outer sum of per-axis terms, raised to
     the kernel power in place and contracted once against the trace, ones
     and every half-plane indicator; the constant c2 z^beta h^2 scales each
@@ -395,6 +388,13 @@ def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
     return _chunked(nx * nx, fill)
 
 
+def _make_row(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
+    """Evaluator: row(points, z) of the extension at any (P, n) points,
+    at one height per point or one for all."""
+    make = _make_row_1d if hg.grid.dimension == 1 else _make_row_2d
+    return make(hg, trace_vals, _far_pieces(hg, func_spec), beta)
+
+
 def _fast_len(n: int) -> int:
     """The smallest 2^a 3^b 5^c >= n, a size the FFT transforms fast."""
     while True:
@@ -407,61 +407,46 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def _extend_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
-    """All lattice rows, level by level, as FFT convolutions.
+def _extend(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
+    """Every level of the extension of a padded trace with the far-field
+    pieces beyond, all lattice rows at once as FFT convolutions.
 
-    On the lattice the midpoint weight depends only on the index offset,
-    so each level's in-lattice sums are one block-Toeplitz product: the
-    kernel on the (2nx-1)^2 offset grid convolved with the trace, with
-    ones and with the indicator of every half-plane the far step reads.
-    Only the valid block [nx-1, 2nx-1) of the product is read, and a
-    circular transform of length at least 2nx-1, the kernel's, leaves
-    that block unaliased: the wrapped terms land below nx-1.
+    On the lattice a source cell's kernel mass depends only on its index
+    offset from the node: the exact CDF difference across the cell in 1D,
+    the midpoint mass in 2D. So each level's in-lattice sums are one
+    (block-)Toeplitz product: the even kernel on the (2nx-1)^n offset grid
+    convolved with the trace, with ones and with the indicator of every
+    half-plane the far step reads. Only the valid block [nx-1, 2nx-1)^n of
+    the product is read, and a circular transform of length at least
+    2nx-1, the kernel's, leaves that block unaliased: the wrapped terms
+    land below nx-1.
     """
+    n = hg.grid.dimension
     nx = hg.padded_axis.size
     h = hg.grid.h
     pts = _lattice_points(hg)
     halfplanes = _lattice_halfplanes(pieces)
-    size = _fast_len(2 * nx - 1)
-    shape = (size, size)
-    data = [trace_vals, np.ones((nx, nx))] + [
-        _halfplane_indicator(pts, term).reshape(nx, nx) for term in halfplanes
+    shape, axes = (_fast_len(2 * nx - 1),) * n, tuple(range(-n, 0))
+    data = [trace_vals, np.ones((nx,) * n)] + [
+        _halfplane_indicator(pts, term).reshape((nx,) * n) for term in halfplanes
     ]
-    data_hat = np.fft.rfft2(np.stack(data), s=shape)
+    data_hat = np.fft.rfftn(np.stack(data), s=shape, axes=axes)
     d = h * np.arange(1 - nx, nx)
-    d2 = d[:, None] ** 2 + d[None, :] ** 2
-    valid = slice(nx - 1, 2 * nx - 1)
-    out = np.empty((len(hg.levels) + 1, nx, nx))
+    edges = np.append(d - 0.5 * h, d[-1] + 0.5 * h)     # 1D: the 2nx offset edges
+    d2 = d[:, None] ** 2 + d[None, :] ** 2 if n == 2 else None
+    valid = (slice(None),) + (slice(nx - 1, 2 * nx - 1),) * n
+    out = np.empty((len(hg.levels) + 1,) + (nx,) * n)
     out[0] = trace_vals
     for k, z in enumerate(hg.z_array()):
         z = float(z)
-        kern_hat = np.fft.rfft2(_kernel_weights(d2, z, h, beta), s=shape)
+        kern = np.diff(_std_mass(edges / z, beta)) if n == 1 else _kernel_weights(d2, z, h, beta)
+        kern_hat = np.fft.rfftn(kern, s=shape, axes=axes)
         sums = [part.ravel()
-                for part in np.fft.irfft2(kern_hat * data_hat, s=shape)[:, valid, valid]]
+                for part in np.fft.irfftn(kern_hat * data_hat, s=shape, axes=axes)[valid]]
         out[k + 1] = _normalized_rows(
             pts, z, sums, halfplanes, pieces, hg.padded_half_width, beta,
-        ).reshape(nx, nx)
+        ).reshape((nx,) * n)
     return out
-
-
-def _extend(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
-    """Every level of the extension of a padded trace with the datum beyond:
-    FFT convolutions on the 2D lattice, the row evaluator in 1D."""
-    if hg.grid.dimension == 2:
-        pieces = datum_far_pieces(func_spec, hg.padded_half_width, 2)
-        return _extend_2d(hg, trace_vals, pieces, beta)
-    row = _make_row_1d(hg, trace_vals, func_spec, beta)
-    pts = _lattice_points(hg)
-    return np.stack([trace_vals] + [row(pts, z) for z in hg.z_array()])
-
-
-def _make_row(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
-    """Evaluator: row(points, z) of the extension at any (P, n) points,
-    at one height per point or one for all."""
-    if hg.grid.dimension == 1:
-        return _make_row_1d(hg, trace_vals, func_spec, beta)
-    pieces = datum_far_pieces(func_spec, hg.padded_half_width, 2)
-    return _make_row_2d(hg, trace_vals, pieces, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +477,14 @@ def extend_scalar(u: DiscreteFunction, hg: HalfGrid, s: float) -> ExtendedField:
     if _is_constant(trace, func):
         shape = (len(hg.levels) + 1,) + trace.shape
         return ExtendedField(hg, np.full(shape, func.value), a)
-    return ExtendedField(hg, _extend(hg, trace, func, 2.0 * s), a)
+    return ExtendedField(hg, _extend(hg, trace, _far_pieces(hg, func), 2.0 * s), a)
 
 
 def extend_set(phases: PhaseSet, hg: HalfGrid, sigma: float) -> ExtendedField:
     """Convolve the +-1 phase indicator with the order-sigma kernel."""
     func = IndicatorF(phases.datum.set_spec)
     trace = _padded_trace(phases.indicator.astype(float), func, hg)
-    field = ExtendedField(hg, _extend(hg, trace, func, sigma), 1.0 - sigma)
+    field = ExtendedField(hg, _extend(hg, trace, _far_pieces(hg, func), sigma), 1.0 - sigma)
     if np.max(np.abs(field.values)) > 1.0 + 1e-9:
         raise InvalidSpecError("indicator extension left the unit range")
     return field

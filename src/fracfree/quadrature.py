@@ -626,7 +626,7 @@ def _ray_power_moments(gap, w, tails, L, q, alpha, tol):
     Gauss in log u on [s, 4L]; clustered Gauss in x on [4L, inf) with
     u = 4L x^(-1/mu), mu = alpha - q, which makes the decay u^(-1-mu)
     constant. The order doubles until no cell's result moves by more than
-    tol relative to itself, or warns at the order cap."""
+    tol relative to itself, or warns at _MOMENT_ORDER_MAX."""
     if q == 0.0:
         return tails
     touch = (gap == 0.0) & (alpha >= 1.0)
@@ -653,7 +653,7 @@ def _ray_power_moments(gap, w, tails, L, q, alpha, tol):
         rem, last = remainder(n), rem
         total = L**q * tails + q * rem
         moved = float(np.max(np.abs(q * (rem - last) / total), initial=0.0))
-        if moved <= tol or n >= LINE_ORDER_MAX:
+        if moved <= tol or n >= _MOMENT_ORDER_MAX:
             break
     if moved > tol:
         warnings.warn(f"homogeneous-profile moments stopped at order {n} with relative "
@@ -732,6 +732,7 @@ def _cell_leaves_2d(lo, hi, box_half, depth):
 
 LINE_ORDER_START = 8          # Gauss orders of the line engine, point rule and profile moments
 LINE_ORDER_MAX = 128
+_MOMENT_ORDER_MAX = 256       # profile moments: M2 near its limit 2 degree < alpha needs 256
 _LINE_BLOCK = 1 << 17      # line nodes evaluated per vectorized pass
 _CLUSTER_CACHE: dict = {}
 

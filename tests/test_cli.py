@@ -293,6 +293,12 @@ def test_main_exit_code_2_on_invalid_cone2d_radii(tmp_path, capsys, radii):
     ("blowup", {"experiment_params": {"scales": []}}, "experiment_params.scales: "),
     ("energy-bound", {"experiment_params": {"instances": 0}},
      "experiment_params.instances: "),
+    ("dyda", {"grid": {"half_width": 1.0},
+              "experiment_params": {"cells": [32, 64], "window": [0.99, 0.995]}},
+     "experiment_params.window: "),     # no cell center in the window
+    ("dyda", {"grid": {"half_width": 1.0},
+              "experiment_params": {"cells": [32, 64], "window": [0.9, 0.999]}},
+     "experiment_params.window: "),     # the last cell touches the box
 ])
 def test_main_exit_code_2_on_invalid_experiment_params(tmp_path, capsys, experiment,
                                                        change, named):

@@ -18,12 +18,14 @@ from fracfree import (
 )
 from fracfree.model import (
     BallSet,
+    ConeF,
     ConstantF,
     DiscreteFunction,
     ExteriorDatum,
     HalfspaceSet,
     IndicatorF,
     PhaseSet,
+    TabulatedF,
     ball_datum,
     cone_datum,
 )
@@ -419,7 +421,7 @@ def _indicator_pieces(set_spec, lp, v_plus, v_minus):
     (BallSet((0.5, -0.25), 3.0, -1), 2),     # angular far masses
 ])
 def test_lattice_convolution_matches_direct_rows(set_spec, levels):
-    from fracfree.extension import _extend_2d, _lattice_points, _make_row_2d
+    from fracfree.extension import _extend, _lattice_points, _make_row_2d
 
     g = build_grid(GridSpec(2, 2.0, 6, 128.0, 1.5))
     hg = make_half_grid(g, levels=levels, ratio=1.6, pad_cells=1)  # 8x8 lattice
@@ -427,10 +429,34 @@ def test_lattice_convolution_matches_direct_rows(set_spec, levels):
     trace = np.random.RandomState(5).uniform(-1.0, 1.0, (nx, nx))
     beta = 0.7
     pieces = _indicator_pieces(set_spec, hg.padded_half_width, 0.6, -0.9)
-    fft_vals = _extend_2d(hg, trace, pieces, beta)
+    fft_vals = _extend(hg, trace, pieces, beta)
     row = _make_row_2d(hg, trace, pieces, beta)
     pts = _lattice_points(hg)
     direct = np.stack([row(pts, z).reshape(nx, nx) for z in hg.z_array()])
+    assert np.array_equal(fft_vals[0], trace)
+    assert np.max(np.abs(fft_vals[1:] - direct)) < 1e-13
+
+
+@pytest.mark.parametrize("cells, pad", [(32, 4), (512, 8)])
+@pytest.mark.parametrize("beta", [0.3, 1.0, 1.7])
+@pytest.mark.parametrize("func", [
+    IndicatorF(HalfspaceSet((1.0,), 0.3)),                              # a half-line
+    TabulatedF((1.0, 3.0, 5.0), (0.7, 0.3), (-0.2, -0.5), 0.4),         # shells
+    ConeF(0.2, (1.0, -0.5)),                                            # stretch blocks
+    ConstantF(0.37),
+], ids=["halfline", "tabulated", "cone", "constant"])
+def test_lattice_convolution_matches_direct_rows_1d(func, beta, cells, pad):
+    # the 1D lattice rows, one FFT convolution of the exact cell masses per
+    # level, against the direct CDF rows of the off-lattice evaluator
+    from fracfree.extension import _extend, _far_pieces, _lattice_points, _make_row
+
+    g = build_grid(GridSpec(1, 2.0, cells, 128.0, 1.5))
+    hg = make_half_grid(g, levels=6, ratio=3.0, pad_cells=pad)
+    nx = hg.padded_axis.size
+    trace = np.random.RandomState(7).uniform(-1.0, 1.0, nx)
+    fft_vals = _extend(hg, trace, _far_pieces(hg, func), beta)
+    row = _make_row(hg, trace, func, beta)
+    direct = np.stack([row(_lattice_points(hg), z) for z in hg.z_array()])
     assert np.array_equal(fft_vals[0], trace)
     assert np.max(np.abs(fft_vals[1:] - direct)) < 1e-13
 

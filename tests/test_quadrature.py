@@ -883,11 +883,35 @@ def test_homogeneous_profile_moments_match_30_digits(alpha, m):
                     assert err <= bound, (kappa, profile, p, table.tol, err)
 
 
+@pytest.mark.parametrize("fraction", [0.997, 0.999])
+def test_homogeneous_profile_moments_converge_near_the_integrability_limit(fraction):
+    # M2 at a degree within 0.3% of its limit alpha / 2, at tol 1e-12: order
+    # 128 stops with relative changes 3.5e-12 and 5.2e-11 and warns (an
+    # error here); order 256 settles both
+    mp = pytest.importorskip("mpmath")
+    from fracfree.model import ConeF
+
+    alpha, m, L = 0.3, 16, 1.0
+    g = build_grid(GridSpec(1, L, m, 64.0, 1.0))
+    e, f = g.centers[:, 0] - 0.5 * g.h, g.centers[:, 0] + 0.5 * g.h
+    kappa = fraction * alpha / 2.0
+    _, m1, m2 = assemble_table(g, alpha, tol=1e-12).function_tails(
+        ConeF(kappa, (1.0, -0.5), amp=1.5))
+    with mp.workdps(30):
+        for p, got in ((1, m1), (2, m2)):
+            right = [_mp_ray_moment(mp, e[i], f[i], kappa * p, alpha, L, False)
+                     for i in range(m)]
+            ref = [1.5**p * r + (-0.75) ** p * s for r, s in zip(right, right[::-1])]
+            scale = [1.5**p * r + 0.75**p * s for r, s in zip(right, right[::-1])]
+            err = max(float(abs(x - r) / s) for x, r, s in zip(got, ref, scale))
+            assert err <= 1e-11, (p, err)
+
+
 def test_homogeneous_profile_moments_warn_at_their_order_cap(monkeypatch):
     from fracfree import quadrature as q
     from fracfree.model import ConeF
 
-    monkeypatch.setattr(q, "LINE_ORDER_MAX", 16)
+    monkeypatch.setattr(q, "_MOMENT_ORDER_MAX", 16)
     table = assemble_table(build_grid(GridSpec(1, 1.0, 16, 64.0, 1.0)), 0.6)
     with pytest.warns(RuntimeWarning, match="homogeneous-profile moments stopped at order 16"):
         table.function_tails(ConeF(0.2, (1.0, 0.5)))
