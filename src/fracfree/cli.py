@@ -34,9 +34,12 @@ from .errors import (
     ConfigError,
     FracfreeError,
     NonConvergenceError,
+    OutOfRangeError,
 )
 from .extension import (
+    PULLBACK_MARGIN,
     check_half_grid_options,
+    check_reach,
     cone_defect,
     make_half_grid,
     weiss_profile,
@@ -212,12 +215,37 @@ def _window_cells(g, window) -> np.ndarray:
     return np.flatnonzero((x >= window[0]) & (x <= window[1]))
 
 
+def _weiss_radii(radii, grid_spec: GridSpec):
+    """weiss-scan's radii: the given ones, or nine from 0.25 to 0.95 of the
+    domain radius."""
+    if radii is not None:
+        return radii
+    r_max = 0.95 * grid_spec.domain_radius
+    return np.linspace(0.25 * r_max / 0.95, r_max, 9)
+
+
+def _blowup_levels(extension: dict, h: float, ts) -> int:
+    """blowup's level count: the configured one, or enough for 1.05 max(ts)."""
+    if extension["levels"] is not None:
+        return extension["levels"]
+    z1 = extension["z_first"] or 0.5 * h
+    return 2 + int(math.ceil(math.log(1.05 * max(ts) / z1) / math.log(extension["ratio"])))
+
+
 def _check_experiment(experiment: str, p: dict, grid_spec: GridSpec,
-                      fractional: FractionalParams) -> None:
+                      fractional: FractionalParams, extension: dict) -> None:
     """The preconditions of one experiment's run, on its typed options."""
     def need(ok, where, why):
         if not ok:
             raise ConfigError(f"{where}: {why}")
+
+    def reach(radii, margin=0.0, **overrides):
+        """Refuse radii beyond the reach of the run's half grid."""
+        hg = make_half_grid(build_grid(grid_spec), **{**extension, **overrides})
+        try:
+            check_reach(hg, radii, margin)
+        except OutOfRangeError as exc:
+            raise ConfigError(f"experiment_params.radii: {exc}") from exc
 
     dimension, radii = grid_spec.dimension, p.get("radii")
     if experiment == "comparison":
@@ -230,11 +258,19 @@ def _check_experiment(experiment: str, p: dict, grid_spec: GridSpec,
         need(dimension == 2, "grid.dimension", "cone2d needs a 2D base grid")
         need(len(radii) >= 2 and _increasing(radii), "experiment_params.radii",
              f"cone2d needs at least two positive, strictly increasing radii, got {radii}")
+        reach(radii, PULLBACK_MARGIN)
     elif experiment in ("weiss-scan", "blowup"):
         need(radii is None or _increasing(radii), "experiment_params.radii",
              f"must be nonempty, positive and strictly increasing, got {radii}")
         need(experiment == "weiss-scan" or p["scales"], "experiment_params.scales",
              "must not be empty")
+        if experiment == "weiss-scan":
+            reach(_weiss_radii(radii, grid_spec))
+        else:
+            # the profiles at t and r t on the half grid, and at t on its
+            # copy rescaled by 1/r, whose reach is 1/r times as large
+            reach([2.0**-k * t for k in [0] + p["scales"] for t in radii],
+                  levels=_blowup_levels(extension, grid_spec.cell_width, radii))
     elif experiment == "dyda":
         cells, window = p["cells"], p["window"]
         need(cells and min(cells) >= 2, "experiment_params.cells",
@@ -355,7 +391,8 @@ def validate_config(source) -> ExperimentConfig:
         check_half_grid_options(**docs["extension"])
     except InvalidSpecError as exc:
         raise ConfigError(f"extension.{exc}") from exc
-    _check_experiment(experiment, docs["experiment_params"], grid_spec, fractional)
+    _check_experiment(experiment, docs["experiment_params"], grid_spec, fractional,
+                      docs["extension"])
     echo = {"experiment": experiment, **docs, "datum": datum_doc,
             "output_dir": output_dir, "seed": seed}
     return ExperimentConfig(
@@ -570,10 +607,7 @@ def _run_weiss_scan(cfg, run_dir):
         report = alternate_minimize(pair, cfg.solver, tg, tp)
         pair, kkt = report.pair, report.qp_kkt
     hg = _half_grid(cfg, g)
-    radii = cfg.experiment_params["radii"]
-    if radii is None:
-        r_max = 0.95 * g.spec.domain_radius
-        radii = np.linspace(0.25 * r_max / 0.95, r_max, 9)
+    radii = _weiss_radii(cfg.experiment_params["radii"], g.spec)
     prof = weiss_profile(pair, radii, cfg.fractional, hg)
     scale = float(np.abs(prof.phi).max())
     slack = 1e-3 * scale
@@ -602,11 +636,7 @@ def _run_blowup(cfg, run_dir):
     pair = make_pair(*sample_datum(cfg.datum, g))
     scales = cfg.experiment_params["scales"]
     ts = np.asarray(cfg.experiment_params["radii"], dtype=float)
-    levels = cfg.extension["levels"]
-    if levels is None:
-        z1 = cfg.extension["z_first"] or 0.5 * g.h
-        levels = 2 + int(math.ceil(math.log(1.05 * ts.max() / z1)
-                                   / math.log(cfg.extension["ratio"])))
+    levels = _blowup_levels(cfg.extension, g.h, ts)
     hg = _half_grid(cfg, g, levels=levels)
     rows = []
     worst = 0.0

@@ -13,9 +13,12 @@ nodes are one FFT convolution per level by ``numpy.fft`` in both
 dimensions, since a cell's kernel mass depends only on its index offset:
 exactly in 1D (kernel CDF differences at the 2nx offset edges), as the
 midpoint mass in 2D. Rows at off-lattice nodes, each at its own height,
-stay direct: CDF differences at the cell edges in 1D, one fused
-contraction of a separable distance table with the trace, ones and the
-half-plane indicators in 2D. All rows share one unit-mass far-field
+stay direct (CDF differences at the cell edges in 1D, a separable
+distance table raised to the kernel power in 2D), and are computed once
+per mirror orbit: on a lattice symmetric about 0 the row at p is the row
+at |p| against the mirrored trace, ones and half-plane indicators, so
+one kernel row serves every point with the same (|p|, z), contracted
+once against all 2^n mirrored stacks. All rows share one unit-mass far-field
 step: exact interval masses in 1D; in 2D exact when every term of the
 pieces is the whole plane or a half-plane, otherwise each term's mass
 beyond the padded box comes from the split-arc point rule of
@@ -25,7 +28,9 @@ On top of the extensions live the weighted Dirichlet energy over
 half-balls, the radial monotonicity profile (Weiss-type functional), and
 the translation-defect probe for homogeneous pairs. The probe pulls back
 the fields it has built: a moved node is re-evaluated through the field's
-own padded trace and far field, never interpolated.
+own padded trace and far field, never interpolated, and both directions
+of the translation come from one row call, where a node moved by +1 and
+its x-mirror moved by -1 share a kernel row.
 
 Importing the module loads NumPy only: the kernel CDF imports SciPy's
 ``betainc`` on its first call.
@@ -219,44 +224,6 @@ def _stretch_blocks(lp: float, z_top: float) -> np.ndarray:
     return lp * STRETCH_RATIO ** np.arange(count)
 
 
-_ROW_CHUNK = 2**17         # entries of a row evaluator's (points x sources) block
-
-
-def _chunked(width: int, fill):
-    """row(pts, z) calling fill on blocks of points, so that no temporary
-    of a row evaluator exceeds about _ROW_CHUNK * width entries; z is one
-    height per point, or one for all."""
-    step = max(1, _ROW_CHUNK // width)
-
-    def row(pts: np.ndarray, z) -> np.ndarray:
-        z = np.broadcast_to(np.asarray(z, dtype=float), pts.shape[:1])
-        out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], step):
-            sl = slice(start, start + step)
-            out[sl] = fill(pts[sl], z[sl])
-        return out
-
-    return row
-
-
-def _make_row_1d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
-    """Evaluator: row(points, z) of the 1D extension at any (P, 1) points,
-    each at its own height: CDF differences across the lattice cells, then
-    the far step of _normalized_rows. Used for off-lattice nodes; blocks
-    count the far intervals with the cell edges."""
-    axis = hg.padded_axis
-    h = hg.grid.h
-    edges = np.concatenate([axis - 0.5 * h, [axis[-1] + 0.5 * h]])
-    lp = hg.padded_half_width
-
-    def fill(pts, z):
-        w_in = np.diff(_std_mass((edges - pts) / z[:, None], beta), axis=1)
-        sums = [w_in @ trace_vals, w_in.sum(axis=1)]
-        return _normalized_rows(pts, z, sums, [], pieces, lp, beta)
-
-    return _chunked(edges.size + sum(len(region.pieces) for _, region in pieces), fill)
-
-
 def _pieces_terms(pieces):
     """The distinct region terms of 2D far-field pieces, in order; none in 1D."""
     return list(dict.fromkeys(term for _, region in pieces if isinstance(region, Region2D)
@@ -309,19 +276,23 @@ def _normalized_rows(pts, z, sums, halfplanes, pieces, lp: float, beta: float):
 
     sums are the in-lattice kernel sums against the trace, against ones
     and against the indicator of each of halfplanes. In 1D every piece is
-    a union of intervals, whose masses are exact CDF differences. In 2D,
+    a union of intervals, whose masses are exact CDF differences, with the
+    CDF taken once per distinct edge (stretch blocks share theirs). In 2D,
     when the half-plane sums cover every term of the pieces, a region's
     far mass is its closed-form total (1 for the whole plane, the 1D
-    marginal for a half-plane) minus its in-lattice attribution, and the
-    row mass is exactly one; otherwise every term's far mass comes from
-    the point rule.
+    marginal for a half-plane, taken once per distinct value) minus its
+    in-lattice attribution, and the row mass is exactly one; otherwise
+    every term's far mass comes from the point rule.
     """
     num = sums[0]
     if pts.shape[1] == 1:
         lo, hi, val = np.array([(a, b, value) for value, region in pieces
                                 for a, b in region.pieces]).reshape(-1, 3).T
-        x, zc = pts, np.reshape(z, (-1, 1))
-        w_far = _std_mass((hi - x) / zc, beta) - _std_mass((lo - x) / zc, beta)
+        edges, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+        cdf = _std_mass((edges - pts) / np.reshape(z, (-1, 1)), beta)
+        # np.take keeps w_far C-ordered, so its sums round as they did when
+        # each edge was evaluated per piece
+        w_far = np.take(cdf, at[lo.size:], axis=1) - np.take(cdf, at[:lo.size], axis=1)
         return (num + w_far @ val) / (sums[1] + w_far.sum(axis=1))
     in_lattice = dict(zip([None] + halfplanes, sums[1:]))
     terms = _pieces_terms(pieces)
@@ -330,7 +301,8 @@ def _normalized_rows(pts, z, sums, halfplanes, pieces, lp: float, beta: float):
         for term in halfplanes:
             nrm = np.asarray(term.normal, dtype=float)
             signed = (pts @ nrm - term.offset) / float(np.linalg.norm(nrm))
-            total[term] = _std_mass(signed / z, beta)
+            values, at = np.unique(signed / z, return_inverse=True)
+            total[term] = _std_mass(values, beta)[at]
         far = [_region_sum(region, total) - _region_sum(region, in_lattice)
                for _, region in pieces]
     else:
@@ -354,45 +326,99 @@ def _lattice_points(hg: HalfGrid) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _make_row_2d(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
-    """Evaluator: row(points, z) of the 2D extension at arbitrary points,
-    each at its own height.
+_ROW_CHUNK = 2**17         # entries of a row evaluator's (rows x sources) block
 
-    Midpoint sums over the lattice plus the far field of _normalized_rows.
-    Used for off-lattice nodes; lattice nodes go through the FFT
-    convolution of _extend. The sources are the padded lattice, so a
-    node's squared distances are an outer sum of per-axis terms, raised to
-    the kernel power in place and contracted once against the trace, ones
-    and every half-plane indicator; the constant c2 z^beta h^2 scales each
-    node's sums, not the kernel entries. Nodes go in blocks of about
-    _ROW_CHUNK distance entries.
+
+def _blocks(count: int, width: int) -> list:
+    """Slices of range(count) of about _ROW_CHUNK // width items each, so
+    that a (block x width) temporary stays near _ROW_CHUNK entries."""
+    step = max(1, _ROW_CHUNK // width)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _unique_rows(keys: np.ndarray):
+    """The distinct rows of a (P, k) float array in lexicographic order, and
+    each row's index among them: one lexsort, no row-wise np.unique."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _row_evaluator(hg: HalfGrid, trace_vals: np.ndarray, pieces, beta: float):
+    """Evaluator: row(points, z) of the extension at any (P, n) points, each
+    at its own height (z is one per point, or one for all). Used for
+    off-lattice nodes; lattice nodes go through the FFT convolution of
+    _extend.
+
+    The in-lattice sums are direct: in 1D the CDF differences across the
+    cell edges; in 2D the midpoint masses, whose squared distances to the
+    padded lattice are an outer sum of per-axis terms raised to the kernel
+    power in place, with c2 z^beta h^2 scaling each row's sums, not the
+    entries. When the cell edges (1D) or centers (2D) are symmetric about 0
+    bit for bit, the kernel at p is the kernel at |p| with the sources
+    mirrored on every axis where p < 0. So one kernel row is built per
+    distinct key (|p|, z), in blocks of about _ROW_CHUNK entries, and
+    contracted once against the 2^n mirrored stacks of the trace, ones and
+    half-plane indicators; each point reads its own mirror's sums. On a
+    lattice that is not symmetric the key is (p, z), so only repeated
+    points share a row. The far step of _normalized_rows then runs on the
+    points themselves.
     """
-    lp = hg.padded_half_width
-    h = hg.grid.h
-    axis = hg.padded_axis
+    n = hg.grid.dimension
+    axis, h = hg.padded_axis, hg.grid.h
     nx = axis.size
+    edges = np.append(axis - 0.5 * h, axis[-1] + 0.5 * h)
+    lp = hg.padded_half_width
     halfplanes = _lattice_halfplanes(pieces)
     src = _lattice_points(hg)
-    rhs = np.stack([trace_vals.ravel(), np.ones(nx * nx)]
-                   + [_halfplane_indicator(src, term) for term in halfplanes], axis=1)
+    stack = np.stack([trace_vals.reshape((nx,) * n), np.ones((nx,) * n)] + [
+        _halfplane_indicator(src, term).reshape((nx,) * n) for term in halfplanes
+    ])
+    coords = edges if n == 1 else axis
+    mirrors = 2**n if np.array_equal(coords, -coords[::-1]) else 1
+    rhs = np.concatenate([
+        np.flip(stack, [1 + a for a in range(n) if v >> a & 1]).reshape(len(stack), -1)
+        for v in range(mirrors)
+    ]).T
+    far_width = 1 + (sum(len(region.pieces) for _, region in pieces) if n == 1 else 0)
 
-    def fill(pts, z):
-        dx2 = (pts[:, 0, None] - axis) ** 2 + (z * z)[:, None]
-        dy2 = (pts[:, 1, None] - axis) ** 2
+    def kernel(x, z):
+        if n == 1:
+            return np.diff(_std_mass((edges - x) / z[:, None], beta), axis=1)
+        dx2 = (x[:, 0, None] - axis) ** 2 + (z * z)[:, None]
+        dy2 = (x[:, 1, None] - axis) ** 2
         d2 = (dx2[:, :, None] + dy2[:, None, :]).reshape(-1, nx * nx)
         np.power(d2, -0.5 * (2.0 + beta), out=d2)
-        sums = d2 @ rhs
-        sums *= (beta / (2.0 * math.pi) * z**beta * h * h)[:, None]
-        return _normalized_rows(pts, z, list(sums.T), halfplanes, pieces, lp, beta)
+        return d2
 
-    return _chunked(nx * nx, fill)
+    def row(pts: np.ndarray, z) -> np.ndarray:
+        z = np.broadcast_to(np.asarray(z, dtype=float), pts.shape[:1])
+        keys, inverse = _unique_rows(
+            np.column_stack([np.abs(pts) if mirrors > 1 else pts, z]))
+        sums = np.empty((len(keys), rhs.shape[1]))
+        for blk in _blocks(len(keys), rhs.shape[0]):
+            sums[blk] = kernel(keys[blk, :n], keys[blk, n]) @ rhs
+        if n == 2:
+            sums *= (beta / (2.0 * math.pi) * keys[:, n] ** beta * h * h)[:, None]
+        variant = (pts < 0.0) @ (1 << np.arange(n)) if mirrors > 1 else 0
+        own = sums.reshape(len(keys), mirrors, len(stack))[inverse, variant]
+        out = np.empty(pts.shape[0])
+        for blk in _blocks(pts.shape[0], far_width):
+            out[blk] = _normalized_rows(pts[blk], z[blk], list(own[blk].T),
+                                        halfplanes, pieces, lp, beta)
+        return out
+
+    return row
 
 
 def _make_row(hg: HalfGrid, trace_vals: np.ndarray, func_spec, beta: float):
     """Evaluator: row(points, z) of the extension at any (P, n) points,
     at one height per point or one for all."""
-    make = _make_row_1d if hg.grid.dimension == 1 else _make_row_2d
-    return make(hg, trace_vals, _far_pieces(hg, func_spec), beta)
+    return _row_evaluator(hg, trace_vals, _far_pieces(hg, func_spec), beta)
 
 
 def _fast_len(n: int) -> int:
@@ -493,13 +519,19 @@ def extend_set(phases: PhaseSet, hg: HalfGrid, sigma: float) -> ExtendedField:
 # ---------------------------------------------------------------------------
 # weighted Dirichlet energy, shell term, monotonicity profile
 
-def _check_reach(field: ExtendedField, r: float) -> None:
-    hg = field.half_grid
-    if r > hg.padded_half_width + 1e-12 or r > hg.z_array()[-1] + 1e-12:
-        raise OutOfRangeError(
-            f"radius {r} exceeds the half-grid reach "
-            f"(x: {hg.padded_half_width}, z: {hg.z_array()[-1]})"
-        )
+PULLBACK_MARGIN = 1.0      # x room of the probe's moved nodes: |displacement| <= 1
+
+
+def check_reach(hg: HalfGrid, radii, margin: float = 0.0) -> None:
+    """Raise OutOfRangeError unless every radius is at most
+    min(padded half width - margin, top level): the reach of the half-ball
+    integrals, or with PULLBACK_MARGIN that of the translation-defect
+    probe, whose moved nodes stay inside the padded box."""
+    x_reach, z_reach = hg.padded_half_width - margin, float(hg.z_array()[-1])
+    for r in radii:
+        if r > min(x_reach, z_reach) + 1e-12:
+            raise OutOfRangeError(
+                f"radius {r} exceeds the half-grid reach (x: {x_reach}, z: {z_reach})")
 
 
 _FRACTION_SUBSAMPLES = 4
@@ -564,7 +596,7 @@ def weighted_dirichlet(field: ExtendedField, r: float,
     frac, if given, is annulus_fractions(field.half_grid, 0, r), computed
     once by callers that integrate several fields over the same ball.
     """
-    _check_reach(field, r)
+    check_reach(field.half_grid, [r])
     hg = field.half_grid
     a = field.weight_exponent if a is None else a
     wz = hg.z_bin_integrals(a)
@@ -579,7 +611,7 @@ def shell_average(field: ExtendedField, r: float, a: float,
                   width_cells: float = 1.0) -> float:
     """Thin-shell approximation of the boundary integral of z^a f^2 over
     the half-sphere of radius r, averaged over a width_cells * h annulus."""
-    _check_reach(field, r)
+    check_reach(field.half_grid, [r])
     hg = field.half_grid
     h = hg.grid.h * width_cells
     wz = hg.z_bin_integrals(a)
@@ -654,22 +686,23 @@ def _cutoff(rho: np.ndarray) -> np.ndarray:
 
 def _pullback(field: ExtendedField, func_spec, beta: float):
     """pulled(direction, r_cut): the field composed with
-    X -> X + direction * cutoff(|X|/r_cut) e_1.
+    X -> X + direction * cutoff(|X|/r_cut) e_1; for a sequence of
+    directions, one such field per direction, all from one row call.
 
     Moved nodes are re-evaluated exactly, with no interpolation, from the
     field's own padded trace: on the trace row the owning box cell gives
     the value, or the datum beyond the box; above it the extension row of
-    that trace does. Unmoved nodes keep bit-identical values, and a
-    constant field with a constant datum is returned itself, cached
-    gradient and all.
+    that trace does. The directions +1 and -1 move mirror-image nodes onto
+    mirror-image points, so one call shares their kernel rows. Unmoved
+    nodes keep bit-identical values, and a constant field with a constant
+    datum is returned itself, cached gradient and all.
     """
     hg = field.half_grid
     trace = field.trace
-    if _is_constant(trace, func_spec):
-        return lambda direction, r_cut: field
+    constant = _is_constant(trace, func_spec)
     spec, h, p = hg.grid.spec, hg.grid.h, hg.pad_cells
     m, L = spec.cells_per_side, spec.half_width
-    row = _make_row(hg, trace, func_spec, beta)
+    row = None if constant else _make_row(hg, trace, func_spec, beta)
     src = _lattice_points(hg)
     src2 = (src**2).sum(axis=1)
     z_all = np.concatenate([[0.0], hg.z_array()])
@@ -682,17 +715,28 @@ def _pullback(field: ExtendedField, func_spec, beta: float):
         out[~inside] = func_spec.evaluate(pts[~inside])
         return out
 
-    def pulled(direction: float, r_cut: float) -> ExtendedField:
-        out = field.values.reshape(z_all.size, -1).copy()
-        disp = direction * _cutoff(np.sqrt(src2 + (z_all * z_all)[:, None]) / r_cut)
-        level, node = np.nonzero(disp)
-        pts = src[node]
-        pts[:, 0] += disp[level, node]
-        on_trace = level == 0
-        out[0, node[on_trace]] = trace_at(pts[on_trace])
-        above = ~on_trace
-        out[level[above], node[above]] = row(pts[above], z_all[level[above]])
-        return ExtendedField(hg, out.reshape(field.values.shape), field.weight_exponent)
+    def moved(signs, r_cut):
+        cut = _cutoff(np.sqrt(src2 + (z_all * z_all)[:, None]) / r_cut)
+        level, node = np.nonzero(cut)
+        pts = np.tile(src[node], (signs.size, 1))
+        pts[:, 0] += (signs[:, None] * cut[level, node]).ravel()
+        levels = np.tile(level, signs.size)
+        vals = np.empty(levels.size)
+        on_trace = levels == 0
+        vals[on_trace] = trace_at(pts[on_trace])
+        vals[~on_trace] = row(pts[~on_trace], z_all[levels[~on_trace]])
+        fields = []
+        for sign_vals in vals.reshape(signs.size, -1):
+            out = field.values.reshape(z_all.size, -1).copy()
+            out[level, node] = sign_vals
+            fields.append(ExtendedField(hg, out.reshape(field.values.shape),
+                                        field.weight_exponent))
+        return fields
+
+    def pulled(direction, r_cut):
+        signs = np.atleast_1d(np.asarray(direction, dtype=float))
+        fields = [field] * signs.size if constant else moved(signs, r_cut)
+        return fields if np.ndim(direction) else fields[0]
 
     return pulled
 
@@ -712,12 +756,7 @@ def cone_defect(pair: AdmissiblePair, radii, hg: HalfGrid,
     reach.
     """
     radii = [float(r) for r in radii]
-    hg_reach = min(hg.padded_half_width - 1.0, float(hg.z_array()[-1]))
-    for r_cut in radii:
-        if r_cut > hg_reach + 1e-12:
-            raise OutOfRangeError(
-                f"cutoff radius {r_cut} exceeds the pullback-safe reach {hg_reach}"
-            )
+    check_reach(hg, radii, PULLBACK_MARGIN)
     ubar = extend_scalar(pair.u, hg, params.s)
     uset = extend_set(pair.phases, hg, params.sigma)
     pull_u = _pullback(ubar, pair.u.datum.func, 2.0 * params.s)
@@ -731,9 +770,7 @@ def cone_defect(pair: AdmissiblePair, radii, hg: HalfGrid,
     for r_cut in radii:
         frac = annulus_fractions(hg, 0.0, r_cut)
         base = energy(ubar, uset, r_cut, frac)
-        plus, minus = (
-            energy(pull_u(sign, r_cut), pull_e(sign, r_cut), r_cut, frac)
-            for sign in (+1.0, -1.0)
-        )
+        plus, minus = (energy(fs, fu, r_cut, frac) for fs, fu in zip(
+            pull_u((+1.0, -1.0), r_cut), pull_e((+1.0, -1.0), r_cut)))
         defects.append((plus - base) + (minus - base))
     return defects

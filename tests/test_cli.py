@@ -317,6 +317,42 @@ def test_main_exit_code_2_on_invalid_experiment_params(tmp_path, capsys, experim
     assert len(err) == 1 and err[0].startswith("error: invalid config: " + named)
 
 
+def _example(name, outdir):
+    with open(os.path.join(EXAMPLES, f"{name}.json")) as fh:
+        cfg = json.load(fh)
+    cfg["output_dir"] = str(outdir)
+    return cfg
+
+
+@pytest.mark.parametrize("case", ["weiss-scan", "blowup", "blowup-upscaled", "cone2d"])
+def test_main_exit_code_2_when_radii_exceed_the_half_grid(tmp_path, capsys, case):
+    # each of these ran and died with exit 4 on an OutOfRangeError:
+    # weiss-scan on a 5-level half grid (top 0.034), blowup on one whose top
+    # (0.43) is below its first radius or, at scale k = -1, below twice its
+    # last radius, and the cone2d example at a radius its padded box and
+    # top level (20.25 and 19.1) cannot reach with the probe's unit margin
+    if case == "weiss-scan":
+        cfg = _example("weiss-scan", tmp_path / "runs")
+        cfg["grid"]["cells_per_side"] = 64
+        cfg["datum"] = {"kind": "cone", "degree": 0.05, "profile": [1.0, -1.0]}
+        cfg["extension"]["levels"] = 5
+    elif case == "cone2d":
+        cfg = _example("cone2d", tmp_path / "runs")
+        cfg["experiment_params"]["radii"] = [4.0, 8.0, 40.0]
+    else:
+        cfg = minimal_config(tmp_path / "runs", experiment="blowup")
+        if case == "blowup":
+            cfg["extension"] = {"levels": 55, "ratio": 1.1, "z_first": 0.0025}
+        else:
+            cfg["experiment_params"] = {"scales": [-1]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([cfg["experiment"], "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: invalid config: experiment_params.radii: radius ")
+
+
 def test_nonconvergence_writes_partial_report(tmp_path, monkeypatch):
     from fracfree.cli import _RUNNERS
     from fracfree.errors import NonConvergenceError

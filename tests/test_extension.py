@@ -353,9 +353,10 @@ def test_pulled_fields_match_per_level_row_calls(dimension, data):
 
 
 def test_pulled_field_memory_stays_bounded():
-    # a 64 x 64 padded lattice with about 1.1e4 moved nodes over 12 levels:
-    # the batched 2D row works in blocks of about 2^17 distance entries, so
-    # no (nodes x 4096) table is ever built
+    # a 64 x 64 padded lattice with about 1.1e4 moved nodes over 12 levels,
+    # for one direction and for both in one call: the batched 2D row works
+    # in blocks of about 2^17 distance entries, so no (nodes x 4096) table
+    # is ever built
     import tracemalloc
 
     from fracfree.extension import _pullback
@@ -367,14 +368,16 @@ def test_pulled_field_memory_stays_bounded():
     assert hg.padded_axis.size == 64
     field = extend_set(pair.phases, hg, params.sigma)
     pulled = _pullback(field, IndicatorF(pair.phases.datum.set_spec), params.sigma)
-    tracemalloc.start()
-    try:
-        moved = pulled(+1.0, 6.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.count_nonzero(moved.values[1:] != field.values[1:]) > 10_000
-    assert peak < 16 * 2**20, peak / 2**20
+    for direction in (+1.0, (+1.0, -1.0)):
+        tracemalloc.start()
+        try:
+            moved = pulled(direction, 6.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for f in np.atleast_1d(moved):
+            assert np.count_nonzero(f.values[1:] != field.values[1:]) > 10_000
+        assert peak < 16 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -421,7 +424,7 @@ def _indicator_pieces(set_spec, lp, v_plus, v_minus):
     (BallSet((0.5, -0.25), 3.0, -1), 2),     # angular far masses
 ])
 def test_lattice_convolution_matches_direct_rows(set_spec, levels):
-    from fracfree.extension import _extend, _lattice_points, _make_row_2d
+    from fracfree.extension import _extend, _lattice_points, _row_evaluator
 
     g = build_grid(GridSpec(2, 2.0, 6, 128.0, 1.5))
     hg = make_half_grid(g, levels=levels, ratio=1.6, pad_cells=1)  # 8x8 lattice
@@ -430,7 +433,7 @@ def test_lattice_convolution_matches_direct_rows(set_spec, levels):
     beta = 0.7
     pieces = _indicator_pieces(set_spec, hg.padded_half_width, 0.6, -0.9)
     fft_vals = _extend(hg, trace, pieces, beta)
-    row = _make_row_2d(hg, trace, pieces, beta)
+    row = _row_evaluator(hg, trace, pieces, beta)
     pts = _lattice_points(hg)
     direct = np.stack([row(pts, z).reshape(nx, nx) for z in hg.z_array()])
     assert np.array_equal(fft_vals[0], trace)
@@ -645,7 +648,7 @@ def test_off_lattice_rows_match_a_per_point_reference(set_spec):
     # lattice nodes displaced by random x-shifts within half a cell, as the
     # pulled nodes of the cone-defect probe are, and kept inside the padded
     # box as the point rule needs
-    from fracfree.extension import _lattice_points, _make_row_2d
+    from fracfree.extension import _lattice_points, _row_evaluator
 
     g = build_grid(GridSpec(2, 2.0, 6, 128.0, 1.5))
     hg = make_half_grid(g, levels=2, ratio=1.6, pad_cells=1)  # 8x8 lattice
@@ -656,14 +659,115 @@ def test_off_lattice_rows_match_a_per_point_reference(set_spec):
     pts[:, 0] += 0.5 * g.h * rng.uniform(-1.0, 1.0, pts.shape[0])
     beta = 0.7
     pieces = _indicator_pieces(set_spec, hg.padded_half_width, 0.6, -0.9)
-    row = _make_row_2d(hg, trace, pieces, beta)
+    row = _row_evaluator(hg, trace, pieces, beta)
     for z in hg.z_array():
         ref = _reference_rows(hg, trace, pieces, pts, float(z), beta)
         assert np.max(np.abs(row(pts, z) - ref)) <= 1e-13
     const = datum_far_pieces(ConstantF(0.37), hg.padded_half_width, 2)
-    flat = _make_row_2d(hg, np.full((nx, nx), 0.37), const, beta)
+    flat = _row_evaluator(hg, np.full((nx, nx), 0.37), const, beta)
     for z in hg.z_array():
         assert np.max(np.abs(flat(pts, z) - 0.37)) <= 1e-15
+
+
+def _single_point_row(hg, trace, pieces, p, z, beta):
+    """The extension row at one point, straight from its definition: the
+    kernel at p against the unmirrored sources, then the far step."""
+    from fracfree.extension import (
+        _halfplane_indicator, _lattice_halfplanes, _lattice_points, _normalized_rows,
+        _std_mass)
+
+    h, axis = hg.grid.h, hg.padded_axis
+    halfplanes = _lattice_halfplanes(pieces)
+    if p.size == 1:
+        edges = np.append(axis - 0.5 * h, axis[-1] + 0.5 * h)
+        w = np.diff(_std_mass((edges - p[0]) / z, beta))
+    else:
+        d2 = (p[0] - axis[:, None]) ** 2 + (p[1] - axis[None, :]) ** 2 + z * z
+        w = (beta / (2.0 * math.pi) * z**beta * d2 ** (-0.5 * (2.0 + beta)) * h * h).ravel()
+    src = _lattice_points(hg)
+    sums = [np.array([w @ trace.ravel()]), np.array([w.sum()])] + [
+        np.array([w @ _halfplane_indicator(src, term)]) for term in halfplanes]
+    return _normalized_rows(p[None, :], np.array([z]), sums, halfplanes, pieces,
+                            hg.padded_half_width, beta)[0]
+
+
+@pytest.mark.parametrize("half_width", [2.0, 0.3])
+@pytest.mark.parametrize("dimension, data", [
+    (1, "cone"), (1, "ball"), (2, "halfspace"), (2, "ball"),
+])
+def test_shared_rows_match_single_point_rows(monkeypatch, dimension, data, half_width):
+    # random off-lattice points with their mirror images and repeats, at a
+    # few heights: one call of the shared evaluator equals the row of every
+    # point on its own. The 2D ball takes the point-rule far masses. Half
+    # width 2 gives bitwise symmetric lattices, so mirror images share a
+    # kernel row; half width 0.3 does not, so only repeated points do
+    from fracfree import extension
+    from fracfree.extension import _far_pieces, _row_evaluator
+
+    cells = 16 if dimension == 1 else 8
+    g = build_grid(GridSpec(dimension, half_width, cells, 128.0, 0.75 * half_width))
+    hg = make_half_grid(g, levels=3, ratio=1.6, pad_cells=2)
+    axis = hg.padded_axis
+    symmetric = np.array_equal(axis, -axis[::-1])
+    assert symmetric == (half_width == 2.0)
+    rng = np.random.RandomState(3)
+    trace = rng.uniform(-1.0, 1.0, (axis.size,) * dimension)
+    beta = 0.7
+    lp = hg.padded_half_width
+    if dimension == 1:
+        func = ConeF(0.2, (1.0, -0.5)) if data == "cone" else \
+            IndicatorF(BallSet((0.1 * half_width,), 2.0 * half_width, -1))
+        pieces = _far_pieces(hg, func)
+    else:
+        set_spec = HalfspaceSet((1.0, 2.0), 0.1) if data == "halfspace" else \
+            BallSet((0.25 * half_width, -0.1 * half_width), 1.5 * half_width, -1)
+        pieces = _indicator_pieces(set_spec, lp, 0.6, -0.9)
+    base = rng.uniform(-0.9 * lp, 0.9 * lp, (5, dimension))
+    signs = np.array([[1.0], [-1.0]]) if dimension == 1 else \
+        np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+    pts = np.concatenate([base * sgn for sgn in signs] + [base[:2]])
+    z_base = hg.z_array()[rng.randint(0, 3, base.shape[0])]
+    z = np.concatenate([z_base] * len(signs) + [z_base[:2]])
+    keys = []
+    unique_rows = extension._unique_rows
+    monkeypatch.setattr(extension, "_unique_rows",
+                        lambda k: keys.append(len(unique_rows(k)[0])) or unique_rows(k))
+    got = _row_evaluator(hg, trace, pieces, beta)(pts, z)
+    assert keys == [base.shape[0] * (1 if symmetric else len(signs))]
+    ref = [_single_point_row(hg, trace, pieces, p, zp, beta) for p, zp in zip(pts, z)]
+    assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_two_sign_pullback_matches_one_sign_calls(dimension):
+    # one call for both directions shares the kernel rows of mirror-image
+    # nodes; each field equals the one-direction call, and a constant field
+    # is returned itself for both
+    from fracfree.extension import _pullback
+
+    params = FractionalParams(0.625, 0.25)
+    if dimension == 1:
+        g = build_grid(GridSpec(1, 6.0, 64, 384.0, 1.0))
+        pair = make_pair(*sample_datum(halfspace_datum([1.0], 0.3), g))
+        hg = make_half_grid(g, ratio=1.3, top=4.5, pad_cells=8)
+        r_cut = 4.0
+    else:
+        pair, hg = _ball_pair_2d()
+        r_cut = 2.5
+    for f, func, beta in [
+        (extend_scalar(pair.u, hg, params.s), pair.u.datum.func, 2.0 * params.s),
+        (extend_set(pair.phases, hg, params.sigma), IndicatorF(pair.phases.datum.set_spec),
+         params.sigma),
+    ]:
+        pulled = _pullback(f, func, beta)
+        both = pulled((+1.0, -1.0), r_cut)
+        assert len(both) == 2
+        for field, direction in zip(both, (+1.0, -1.0)):
+            alone = pulled(direction, r_cut)
+            assert np.max(np.abs(field.values - alone.values)) <= 1e-14
+            assert not np.array_equal(field.values, f.values)
+    flat = ExtendedField(hg, np.full_like(f.values, 0.37), 0.5)
+    assert _pullback(flat, ConstantF(0.37), 0.7)((+1.0, -1.0), r_cut) == [flat, flat]
 
 
 def test_cone_defect_reuses_unmoved_gradients_bit_for_bit(monkeypatch):
