@@ -338,7 +338,8 @@ def _blocks(count: int, width: int) -> list:
 
 def _unique_rows(keys: np.ndarray):
     """The distinct rows of a (P, k) float array in lexicographic order, and
-    each row's index among them: one lexsort, no row-wise np.unique."""
+    each row's index among them, by one lexsort (several times faster than
+    np.unique with axis=0)."""
     order = np.lexsort(keys.T[::-1])
     ordered = keys[order]
     first = np.ones(order.size, dtype=bool)
